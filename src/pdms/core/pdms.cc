@@ -349,18 +349,32 @@ Result<Relation> Pdms::AnswerStreaming(
                           },
                           trace_, metrics_);
   Status eval_error = Status::Ok();
+  // One rewriting at a time through the vectorized engine. Gating clears
+  // each distinct body relation in body order and stops at the first veto,
+  // so the AccessController probe sequence (and every fault-injector draw)
+  // is a function of the rewriting stream alone.
   auto eval_one = [&](const ConjunctiveQuery& rewriting) {
-    auto part = EvaluateCQ(rewriting, data_, [&](const std::string& r) {
-      return access.Access(r);
-    }, trace_);
+    std::set<std::string> gated;
+    for (const Atom& a : rewriting.body()) {
+      if (!gated.insert(a.predicate()).second) continue;
+      Status s = access.Access(a.predicate());
+      if (s.ok()) continue;
+      // A rewriting over an unavailable source degrades the stream (its
+      // answers are simply missing); other errors abort.
+      if (s.code() == StatusCode::kUnavailable) return true;
+      eval_error = s;
+      return false;
+    }
+    obs::ScopedSpan join_span(trace_, "join");
+    join_span.Set("atoms", static_cast<uint64_t>(rewriting.body().size()));
+    auto part = engine()->EvaluateDisjunct(rewriting, data_);
     if (!part.ok()) {
-      // A rewriting over an unavailable source degrades the stream
-      // (its answers are simply missing); other errors abort.
-      if (part.status().code() == StatusCode::kUnavailable) return true;
       eval_error = part.status();
       return false;
     }
-    for (const Tuple& t : part->tuples()) {
+    join_span.Set("answers", static_cast<uint64_t>(part->size()));
+    join_span.End();
+    for (const Tuple& t : *part) {
       if (answers.Insert(t) && !on_answer(t)) return false;
     }
     return true;

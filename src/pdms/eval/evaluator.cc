@@ -385,36 +385,6 @@ Result<Relation> EvaluateCQ(const ConjunctiveQuery& cq, const Database& db) {
   return out;
 }
 
-namespace {
-
-// Clears every distinct body relation through the gate; returns the first
-// veto (callers decide whether a veto skips the disjunct or fails the
-// query).
-Status GateBody(const ConjunctiveQuery& cq, const StoredGate& gate) {
-  if (!gate) return Status::Ok();
-  std::set<std::string> seen;
-  for (const Atom& a : cq.body()) {
-    if (!seen.insert(a.predicate()).second) continue;
-    PDMS_RETURN_IF_ERROR(gate(a.predicate()));
-  }
-  return Status::Ok();
-}
-
-}  // namespace
-
-Result<Relation> EvaluateCQ(const ConjunctiveQuery& cq, const Database& db,
-                            const StoredGate& gate,
-                            obs::TraceContext* trace) {
-  PDMS_RETURN_IF_ERROR(GateBody(cq, gate));
-  obs::ScopedSpan join_span(trace, "join");
-  join_span.Set("atoms", static_cast<uint64_t>(cq.body().size()));
-  Result<Relation> out = EvaluateCQ(cq, db);
-  if (out.ok()) {
-    join_span.Set("answers", static_cast<uint64_t>(out->size()));
-  }
-  return out;
-}
-
 Result<Relation> EvaluateUnion(const UnionQuery& uq, const Database& db) {
   if (uq.empty()) return Relation("result", 0);
   Relation out(uq.disjuncts()[0].head().predicate(),

@@ -42,16 +42,6 @@ Result<Relation> EvaluateCQ(const ConjunctiveQuery& cq, const Database& db);
 /// fault layer exhausted its retries) vetoes the scan.
 using StoredGate = std::function<Status(const std::string& relation)>;
 
-/// Gated variant: every distinct body relation is cleared through `gate`
-/// (null gate = always allowed) before any matching starts; the first
-/// non-OK gate status aborts the evaluation with that status. With a trace
-/// attached (null = disabled) a `join` span covers the matching phase —
-/// per-relation scan outcomes are spanned by the gate's AccessController,
-/// which nests naturally under the caller's open span.
-Result<Relation> EvaluateCQ(const ConjunctiveQuery& cq, const Database& db,
-                            const StoredGate& gate,
-                            obs::TraceContext* trace = nullptr);
-
 /// Evaluates a union of conjunctive queries (all disjuncts must share head
 /// arity); the result is the set union of the disjunct results.
 Result<Relation> EvaluateUnion(const UnionQuery& uq, const Database& db);

@@ -46,6 +46,37 @@ void FlatTable::Build(const std::vector<uint64_t>& hashes) {
   }
 }
 
+bool FlatHashSet::Insert(uint64_t h) {
+  if (h == 0) {
+    if (has_zero_) return false;
+    has_zero_ = true;
+    return true;
+  }
+  // Keep the load at or below 3/4 so linear probing stays short.
+  if (4 * (count_ + 1) > 3 * slots_.size()) Grow();
+  size_t j = h & mask_;
+  while (slots_[j] != 0) {
+    if (slots_[j] == h) return false;
+    j = (j + 1) & mask_;
+  }
+  slots_[j] = h;
+  ++count_;
+  return true;
+}
+
+void FlatHashSet::Grow() {
+  std::vector<uint64_t> old = std::move(slots_);
+  size_t cap = old.empty() ? 8 : 2 * old.size();
+  slots_.assign(cap, 0);
+  mask_ = cap - 1;
+  for (uint64_t h : old) {
+    if (h == 0) continue;
+    size_t j = h & mask_;
+    while (slots_[j] != 0) j = (j + 1) & mask_;
+    slots_[j] = h;
+  }
+}
+
 uint32_t StringDict::Intern(const std::string& s) {
   auto it = ids_.find(s);
   if (it != ids_.end()) return it->second;
@@ -113,17 +144,30 @@ Value ColumnarCatalog::Decode(const Code& c) const {
 
 void ColumnarCatalog::AppendRows(Entry* entry, const Relation& rel,
                                  size_t from_row) {
+  // Distinct sets stay resident only for relations that grow by appends
+  // (fact inserts): a whole conversion counts through sets it then frees,
+  // and the first append rebuilds them from the codes.
+  if (entry->distinct_hashes.empty()) {
+    entry->distinct_hashes.assign(rel.arity(), {});
+    for (size_t col = 0; col < rel.arity(); ++col) {
+      const CodeColumn& codes = entry->data.cols[col];
+      for (size_t row = 0; row < codes.size(); ++row) {
+        entry->distinct_hashes[col].Insert(CodeHash(codes[row]));
+      }
+    }
+  }
   const std::vector<Tuple>& tuples = rel.tuples();
   for (size_t row = from_row; row < tuples.size(); ++row) {
     const Tuple& t = tuples[row];
     for (size_t col = 0; col < rel.arity(); ++col) {
       Code c = Encode(t[col]);
-      entry->data.cols[col].push_back(c);
-      if (entry->distinct_hashes[col].insert(CodeHash(c)).second) {
+      entry->data.cols[col].Append(c);
+      if (entry->distinct_hashes[col].Insert(CodeHash(c))) {
         ++entry->stats.distinct[col];
       }
     }
   }
+  if (from_row == 0) entry->distinct_hashes.clear();
   entry->data.rows = tuples.size();
   entry->stats.rows = tuples.size();
   entry->rebuild_version = rel.rebuild_version();
@@ -148,7 +192,7 @@ const ColumnarRelation* ColumnarCatalog::Ensure(const Relation& rel,
     entry.data.cols.assign(rel.arity(), {});
     entry.stats = TableStats{};
     entry.stats.distinct.assign(rel.arity(), 0);
-    entry.distinct_hashes.assign(rel.arity(), {});
+    entry.distinct_hashes.clear();
     if (metrics != nullptr) metrics->Add("qp.stats_rebuilds", 1);
   }
   size_t appended = rel.size() - from_row;
@@ -217,7 +261,7 @@ Relation ToRowRelation(const std::string& name, const ColumnarRelation& col,
     Tuple t;
     t.reserve(col.arity);
     for (size_t c = 0; c < col.arity; ++c) {
-      const Code& code = col.cols[c][row];
+      const Code code = col.cols[c][row];
       switch (static_cast<Value::Kind>(code.kind)) {
         case Value::Kind::kNull:
           t.push_back(Value::Null(code.payload));

@@ -7,7 +7,6 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "pdms/data/relation.h"
@@ -63,13 +62,31 @@ class StringDict {
   std::unordered_map<std::string, uint32_t> ids_;
 };
 
-/// The columnar twin of one Relation: one contiguous code vector per
+/// One column of codes held as two parallel arrays, payloads and kinds, so
+/// a resident cell costs 9 bytes rather than a padded 16-byte Code. The
+/// catalog keeps every converted relation for the facade's lifetime, so
+/// this is most of its heap.
+class CodeColumn {
+ public:
+  Code operator[](size_t row) const { return Code{payload_[row], kind_[row]}; }
+  void Append(const Code& c) {
+    payload_.push_back(c.payload);
+    kind_.push_back(c.kind);
+  }
+  size_t size() const { return payload_.size(); }
+
+ private:
+  std::vector<int64_t> payload_;
+  std::vector<uint8_t> kind_;
+};
+
+/// The columnar twin of one Relation: one code column per relation
 /// column, rows in the relation's insertion order (row i of every column
 /// is tuple i).
 struct ColumnarRelation {
   size_t arity = 0;
   size_t rows = 0;
-  std::vector<std::vector<Code>> cols;
+  std::vector<CodeColumn> cols;
 };
 
 /// Per-relation statistics the cost-based planner consumes: cardinality
@@ -117,6 +134,25 @@ class FlatTable {
   std::vector<int32_t> slot_head_;   // -1 = empty slot
   std::vector<uint64_t> slot_hash_;  // key hash resident in the slot
   std::vector<int32_t> next_;        // per entry: chain successor
+};
+
+/// Open-addressing set of 64-bit hashes, a sibling of FlatTable: one flat
+/// slot vector, linear probing, no per-element allocation. Slot value 0
+/// marks an empty slot, so the key 0 itself is tracked by a separate flag.
+/// Backs the per-column distinct counts of ColumnarCatalog: 8 bytes per
+/// slot at a load of at most 3/4, and no heap node per value.
+class FlatHashSet {
+ public:
+  /// Adds `h`; true when it was not present yet.
+  bool Insert(uint64_t h);
+
+ private:
+  void Grow();
+
+  size_t mask_ = 0;
+  size_t count_ = 0;             // non-zero keys resident in slots_
+  bool has_zero_ = false;
+  std::vector<uint64_t> slots_;  // 0 = empty slot
 };
 
 /// A hash table over the join-key columns of a (filtered) stored relation,
@@ -185,7 +221,9 @@ class ColumnarCatalog {
     uint64_t rebuild_version = 0;
     ColumnarRelation data;
     TableStats stats;
-    std::vector<std::unordered_set<uint64_t>> distinct_hashes;
+    // Per column; empty unless the relation has grown by appends since its
+    // last whole conversion (see AppendRows).
+    std::vector<FlatHashSet> distinct_hashes;
     std::map<std::string, std::unique_ptr<JoinTable>> join_tables;
   };
 

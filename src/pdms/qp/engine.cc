@@ -185,6 +185,21 @@ Result<DegradedEvalResult> Engine::EvaluateUnionDegraded(
   return out;
 }
 
+Result<std::vector<Tuple>> Engine::EvaluateDisjunct(const ConjunctiveQuery& cq,
+                                                    const Database& db) {
+  for (const Atom& a : cq.body()) {
+    const Relation* rel = db.Find(a.predicate());
+    if (rel != nullptr) catalog_.Ensure(*rel);
+  }
+  PDMS_ASSIGN_OR_RETURN(DisjunctPlan dp,
+                        PlanDisjunct(cq, db, catalog_, net_cost_));
+  if (dp.delegate_legacy) {
+    PDMS_ASSIGN_OR_RETURN(Relation part, EvaluateCQ(cq, db));
+    return part.TakeTuples();
+  }
+  return ExecuteDisjunct(dp, db, catalog_, nullptr, nullptr);
+}
+
 Result<std::string> Engine::Explain(const UnionQuery& uq, const Database& db) {
   std::string out;
   for (const ConjunctiveQuery& cq : uq.disjuncts()) {

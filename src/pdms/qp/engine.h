@@ -45,6 +45,18 @@ class Engine {
       obs::MetricsRegistry* metrics = nullptr, exec::ThreadPool* pool = nullptr,
       PhysicalPlanSlot* slot = nullptr);
 
+  /// Single-disjunct evaluation for the streaming answer path: Ensures the
+  /// body's relations, plans the disjunct afresh and executes it serially,
+  /// returning its distinct head tuples in probe order. Ungated (the caller
+  /// gates) and untraced (the caller spans). Join tables missing from the
+  /// catalog are built per call and not stored there: a stream's
+  /// rewritings rarely repeat a scan signature, and caching them measured
+  /// over the memory bound (docs/query_planning.md, streaming). An empty
+  /// body delegates to the legacy evaluator exactly as the union path
+  /// does.
+  Result<std::vector<Tuple>> EvaluateDisjunct(const ConjunctiveQuery& cq,
+                                              const Database& db);
+
   /// Plans and executes every disjunct (ungated), returning the rendered
   /// physical plans with estimated vs actual per-step cardinalities — the
   /// shell's `plan` command.

@@ -112,7 +112,7 @@ Intermediate GatherJoin(const Intermediate& prev, const MatchPairs& pairs,
     if (!LiveAfter(step, slot)) continue;
     std::vector<Code>& col = next.slot_cols[slot];
     col.resize(pairs.size());
-    const std::vector<Code>& src = data.cols[scan_col];
+    const CodeColumn& src = data.cols[scan_col];
     for (size_t i = 0; i < pairs.size(); ++i) col[i] = src[pairs[i].second];
     next.bound[slot] = 1;
   }
@@ -248,7 +248,7 @@ Result<std::vector<Tuple>> ExecuteDisjunct(const DisjunctPlan& plan,
         if (!LiveAfter(step, slot)) continue;
         std::vector<Code>& col = in.slot_cols[slot];
         col.resize(rows.size());
-        const std::vector<Code>& src = data->cols[scan_col];
+        const CodeColumn& src = data->cols[scan_col];
         for (size_t i = 0; i < rows.size(); ++i) col[i] = src[rows[i]];
         in.bound[slot] = 1;
       }

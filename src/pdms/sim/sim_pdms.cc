@@ -170,6 +170,7 @@ Result<AnswerResult> SimPdms::Answer(const ConjunctiveQuery& query) {
   if (hit != nullptr) {
     if (metrics_ != nullptr) metrics_->Add("cache.hits");
     query_span.Set("cache", "hit");
+    out.plan_cache_hit = true;
     ref.rewriting = hit->rewriting;
     ref.physical_slot = hit->physical;  // share the compiled physical plan
     ref.stats = hit->stats;  // the stats of the original reformulation

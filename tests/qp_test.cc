@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "pdms/core/pdms.h"
 #include "pdms/eval/evaluator.h"
 #include "pdms/lang/parser.h"
 #include "pdms/obs/metrics.h"
@@ -128,6 +129,79 @@ TEST(ColumnStore, StatsFingerprintMovesWithTheData) {
   EXPECT_NE(catalog.StatsFingerprint({"edge"}), before);
   // Unensured relations contribute a sentinel, not a crash.
   (void)catalog.StatsFingerprint({"missing"});
+}
+
+TEST(ColumnStore, IncrementalInsertsMatchFromScratchEnsure) {
+  // Facts appended one at a time through the facade convert incrementally
+  // into its engine's catalog; the distinct counts (and so the stats
+  // fingerprint every cached plan embeds) must equal a one-shot Ensure.
+  Pdms pdms;
+  ASSERT_TRUE(pdms.LoadProgram(R"(
+    peer A { relation R(x, y, z); }
+    stored r(x, y, z) <= A:R(x, y, z).
+    fact r(1, "a", 0).
+  )").ok());
+  obs::MetricsRegistry metrics;
+  pdms.set_metrics(&metrics);
+  for (int64_t i = 0; i < 300; ++i) {
+    Tuple t = {Value::Int(i % 37), Value::String("s" + std::to_string(i % 11)),
+               Value::Int(i * 7 % 101)};
+    ASSERT_TRUE(pdms.Insert("r", std::move(t)).ok());
+  }
+  // The first insert converted the loaded fact plus itself; every later
+  // one appended a single row.
+  EXPECT_EQ(metrics.counter("qp.stats_rebuilds"), 1u);
+  const Relation* rel = pdms.database().Find("r");
+  ASSERT_NE(rel, nullptr);
+  EXPECT_EQ(metrics.counter("qp.stats_rows_appended"), rel->size());
+
+  const ColumnarCatalog& incremental = *pdms.engine()->catalog();
+  ColumnarCatalog scratch;
+  scratch.Ensure(*rel);
+  ASSERT_NE(incremental.stats("r"), nullptr);
+  EXPECT_EQ(incremental.stats("r")->rows, scratch.stats("r")->rows);
+  EXPECT_EQ(incremental.stats("r")->distinct, scratch.stats("r")->distinct);
+  EXPECT_EQ(scratch.stats("r")->distinct,
+            (std::vector<size_t>{37, 12, 101}));  // "a" joins s0..s10
+  EXPECT_EQ(incremental.StatsFingerprint({"r"}),
+            scratch.StatsFingerprint({"r"}));
+}
+
+TEST(FlatHashSet, ZeroKeyIsTrackedApartFromTheEmptySlotSentinel) {
+  FlatHashSet set;
+  EXPECT_TRUE(set.Insert(0));
+  EXPECT_FALSE(set.Insert(0));
+  // Grow through several capacities; 0 and every key survive rehashing.
+  for (uint64_t k = 1; k <= 1000; ++k) {
+    EXPECT_TRUE(set.Insert(k * 0x9e3779b97f4a7c15ULL));
+  }
+  EXPECT_FALSE(set.Insert(0));
+  for (uint64_t k = 1; k <= 1000; ++k) {
+    EXPECT_FALSE(set.Insert(k * 0x9e3779b97f4a7c15ULL));
+  }
+  EXPECT_TRUE(set.Insert(1001 * 0x9e3779b97f4a7c15ULL));
+}
+
+TEST(ColumnStore, ValueWhoseCodeHashesToZeroIsCounted) {
+  // CodeHash's finalizer maps 0 to 0, so this integer's code hashes to
+  // exactly the flat set's empty-slot value.
+  const uint64_t kind = static_cast<uint64_t>(Value::Kind::kInt);
+  const int64_t payload =
+      static_cast<int64_t>(0 - 0x9e3779b97f4a7c15ULL - (kind << 56));
+  ColumnarCatalog catalog;
+  ASSERT_EQ(CodeHash(catalog.Encode(Value::Int(payload))), 0u);
+
+  const Value zero_hash = Value::Int(payload);
+  Relation rel("r", 2);
+  rel.Insert({zero_hash, Value::Int(1)});
+  rel.Insert({zero_hash, Value::Int(2)});
+  rel.Insert({Value::Int(1), Value::Int(3)});
+  catalog.Ensure(rel);
+  EXPECT_EQ(catalog.stats("r")->distinct[0], 2u);  // counted once
+  // Incremental append: the zero-hash code is recognised as already seen.
+  rel.Insert({zero_hash, Value::Int(4)});
+  catalog.Ensure(rel);
+  EXPECT_EQ(catalog.stats("r")->distinct, (std::vector<size_t>{2, 4}));
 }
 
 TEST(ColumnStore, JoinTableCacheDropsOnRowChange) {

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "pdms/cache/plan_cache.h"
 #include "pdms/core/pdms.h"
 #include "pdms/sim/event_loop.h"
 #include "pdms/sim/peer_node.h"
@@ -360,6 +361,28 @@ TEST(SimPdmsTest, SameSeedReplaysByteIdenticalTrace) {
   std::string first = run();
   EXPECT_FALSE(first.empty());
   EXPECT_EQ(first, run());
+}
+
+TEST(SimPdmsTest, ReportsPlanCacheHits) {
+  // The in-process facade sets AnswerResult::plan_cache_hit; the
+  // simulated runtime must agree (the serving layer's hit rate reads it).
+  Pdms central = MakeCentral();
+  cache::PlanCache plans;
+  SimPdms sim(central.network(), central.database());
+  sim.set_plan_cache(&plans);
+  auto first = sim.Answer("q(n) :- H:Doctor(n, h).");
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_FALSE(first->plan_cache_hit);
+  auto repeat = sim.Answer("q(n) :- H:Doctor(n, h).");
+  ASSERT_TRUE(repeat.ok()) << repeat.status().ToString();
+  EXPECT_TRUE(repeat->plan_cache_hit);
+  EXPECT_EQ(repeat->answers.ToString(), first->answers.ToString());
+
+  // Without a cache there is nothing to hit.
+  SimPdms uncached(central.network(), central.database());
+  auto plain = uncached.Answer("q(n) :- H:Doctor(n, h).");
+  ASSERT_TRUE(plain.ok());
+  EXPECT_FALSE(plain->plan_cache_hit);
 }
 
 }  // namespace

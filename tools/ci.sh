@@ -36,9 +36,12 @@
 #  10. query-planner gate: the qp storage/planner suite, the seeded
 #      legacy-vs-vectorized equivalence property suite, and the client-
 #      pool suite re-run under asan+ubsan and under TSan (the equivalence
-#      suite fans disjuncts out over real worker threads), plus a join
-#      micro-bench smoke and a small end-to-end engine comparison whose
-#      soundness check must pass (docs/query_planning.md).
+#      suite fans disjuncts out over real worker threads), and the
+#      streaming-vs-union equivalence suite (per-rewriting engine
+#      evaluation on both plan-cache branches, early stop, gating order)
+#      under asan+ubsan, plus a join micro-bench smoke and a small
+#      end-to-end engine comparison whose soundness check must pass
+#      (docs/query_planning.md).
 #  11. network-cost gate: the topology/link-map/network-model suite and a
 #      reduced-seed cost-aware-vs-cost-blind equivalence sweep under
 #      asan+ubsan and under TSan (the thread-invariance case drives the
@@ -225,6 +228,7 @@ echo "== [10/11] qp gate: asan + tsan suites, eval bench smoke =="
 # the full suite; re-run explicitly as the named gate).
 "${ASAN_BUILD_DIR}/tests/qp_test"
 "${ASAN_BUILD_DIR}/tests/qp_equivalence_test"
+"${ASAN_BUILD_DIR}/tests/streaming_equivalence_test"
 "${ASAN_BUILD_DIR}/tests/serve_client_pool_test"
 # Under TSan: the equivalence suite runs the vectorized engine at 1/2/8
 # threads over shared plan caches, the client-pool suite hands leases
