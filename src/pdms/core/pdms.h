@@ -27,6 +27,9 @@ namespace qp {
 class Engine;
 }  // namespace qp
 
+class QueryPipeline;
+struct QueryPlan;
+
 /// A query's full outcome: the answer tuples, the reformulation
 /// statistics, and the degradation report saying exactly which sources
 /// could not contribute and what it cost to find out. Under degradation
@@ -42,18 +45,6 @@ struct AnswerResult {
   /// can report per-window cache hit rates without reading the registry.
   bool plan_cache_hit = false;
 };
-
-/// Assembles a DegradationReport from a query's static exclusions
-/// (reformulation stats) and dynamic scan failures. Shared by the
-/// in-process facade and the simulated distributed runtime
-/// (`sim::SimPdms`), which gather the inputs differently but must agree on
-/// what the verdict means.
-void FillDegradationReport(const PdmsNetwork& network,
-                           const ReformulationStats& stats,
-                           const std::vector<std::string>& failed_relations,
-                           size_t rewritings_skipped,
-                           const AccessStats& access, bool any_answers,
-                           DegradationReport* report);
 
 /// Interface to a cross-query plan cache (implemented in
 /// src/pdms/cache/plan_cache.h; core sees only this hook). A plan — the
@@ -236,9 +227,9 @@ class Pdms {
   /// Section 3 complexity analysis of the current specification.
   Classification Classify() const { return network_.Classify(); }
 
-  /// The vectorized query engine answering queries when
-  /// `options().vectorized_eval` (the default) — lazily created, owned.
-  /// Exposed for the shell's `plan` command and the engine tests.
+  /// The vectorized query engine every answering path evaluates through —
+  /// lazily created, owned. Exposed for the shell's `plan` command and the
+  /// engine tests.
   qp::Engine* engine();
 
  private:
@@ -248,21 +239,14 @@ class Pdms {
   /// code). The pool has threads-1 workers: the calling thread is the
   /// remaining one — it runs tasks itself whenever it waits on a fork.
   exec::ThreadPool* Executor();
-  /// The session options plus the network's current availability state
-  /// and the executor for the `threads` setting.
-  ReformulationOptions EffectiveOptions();
-  /// Announces the current (revision, epoch, options) scope to the
-  /// attached caches, recording invalidation counts; returns the
-  /// effective options for this query.
-  ReformulationOptions PrepareCaches();
-  /// Cache-aware reformulation shared by the answering entry points:
-  /// plan-cache lookup (hit returns the stored plan), miss reformulates
-  /// and inserts under the mid-churn guard. `query_span` (nullable)
-  /// receives the `cache` attribute; `cache_hit` (nullable) receives
-  /// whether the plan came from the cache.
-  Result<ReformulationResult> ReformulateCached(const ConjunctiveQuery& query,
-                                                obs::ScopedSpan* query_span,
-                                                bool* cache_hit = nullptr);
+  /// This query's pipeline: the facade's options (with the executor for
+  /// the `threads` setting) and the facade's trace, metrics and caches.
+  QueryPipeline Pipeline();
+  /// The plan step alone, for the entries that evaluate nothing or
+  /// evaluate rewriting by rewriting (Reformulate, ExplainAnswer).
+  Result<QueryPlan> PlanQuery(const ConjunctiveQuery& query);
+  /// The scan gate of one query: fault injector, retry policy, deadline.
+  AccessController NewAccessController();
 
   PdmsNetwork network_;
   Database data_;

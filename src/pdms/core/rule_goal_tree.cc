@@ -248,6 +248,21 @@ std::string OptionsFingerprint(const ReformulationOptions& options) {
   return out;
 }
 
+std::vector<std::string> ExcludedStored(
+    const ReformulationOptions& options,
+    const std::function<bool(const std::string&)>& is_stored) {
+  std::vector<std::string> out;
+  for (const std::string& name : options.unavailable_stored) {
+    // Report only relations this network actually stores and the caller's
+    // source restriction would otherwise admit.
+    if (is_stored(name) && (options.allowed_stored.empty() ||
+                            options.allowed_stored.count(name) > 0)) {
+      out.push_back(name);
+    }
+  }
+  return out;
+}
+
 std::string RuleGoalTree::ToString() const {
   std::string out = "query: " + query.ToString() + "\n";
   if (root != nullptr) DumpExpansion(*root, 0, &out);
@@ -366,15 +381,10 @@ Result<RuleGoalTree> TreeBuilder::Build(const ConjunctiveQuery& query) {
   ReformulationStats& stats = tree.stats;
   stats.rule_nodes = 1;
   stats.definitional_nodes = 1;
-  for (const std::string& name : options_.unavailable_stored) {
-    // Report only relations this network actually stores and the caller's
-    // source restriction would otherwise admit.
-    if (rules_.stored.count(name) > 0 &&
-        (options_.allowed_stored.empty() ||
-         options_.allowed_stored.count(name) > 0)) {
-      stats.excluded_stored.push_back(name);
-    }
-  }
+  stats.excluded_stored =
+      ExcludedStored(options_, [this](const std::string& name) {
+        return rules_.stored.count(name) > 0;
+      });
 
   for (size_t i = 0; i < query.body().size(); ++i) {
     auto goal = std::make_unique<GoalNode>();

@@ -2,6 +2,7 @@
 #define PDMS_CORE_RULE_GOAL_TREE_H_
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <set>
 #include <string>
@@ -105,14 +106,6 @@ struct ReformulationOptions {
   /// fingerprint for exactly that reason.
   size_t threads = 1;
   exec::ThreadPool* executor = nullptr;
-
-  /// Evaluate rewritings through the vectorized engine (src/pdms/qp/):
-  /// cost-based planned, columnar, hash-joined — with answers canonically
-  /// sorted. False falls back to the legacy tuple-at-a-time evaluator,
-  /// kept as a reference twin (answers agree after canonical ordering).
-  /// An execution strategy, not a reformulation option: excluded from
-  /// OptionsFingerprint like `threads`.
-  bool vectorized_eval = true;
 
   /// Cost-aware routing (docs/network_cost_model.md). With a
   /// `cost_estimator` attached, `order_expansions` breaks depth ties by
@@ -278,6 +271,14 @@ class GoalMemoHook {
 /// dependency-tracked invalidation, so entries untouched by a flip keep
 /// hitting (docs/churn_invalidation.md).
 std::string OptionsFingerprint(const ReformulationOptions& options);
+
+/// ReformulationStats::excluded_stored under `options`: the relations of
+/// `unavailable_stored` that `is_stored` accepts and `allowed_stored`
+/// admits, sorted. Computed by every tree build, and again on plan-cache
+/// hits, whose cached report may predate the current availability.
+std::vector<std::string> ExcludedStored(
+    const ReformulationOptions& options,
+    const std::function<bool(const std::string&)>& is_stored);
 
 /// A rule node: one way of expanding its parent goal node. Definitional
 /// expansions (GAV-style) replace the goal with the body of a datalog rule;

@@ -1,12 +1,10 @@
 #include "pdms/eval/evaluator.h"
 
 #include <algorithm>
-#include <optional>
 #include <set>
 #include <unordered_map>
 #include <utility>
 
-#include "pdms/exec/parallel_for.h"
 #include "pdms/util/check.h"
 #include "pdms/util/strings.h"
 
@@ -405,25 +403,12 @@ Result<DegradedEvalResult> EvaluateUnionDegraded(const UnionQuery& uq,
                                                  const Database& db,
                                                  const StoredGate& gate,
                                                  obs::TraceContext* trace,
-                                                 obs::MetricsRegistry* metrics,
-                                                 exec::ThreadPool* pool) {
+                                                 obs::MetricsRegistry* metrics) {
   DegradedEvalResult out;
   if (uq.empty()) return out;
   out.answers = Relation(uq.disjuncts()[0].head().predicate(),
                          uq.disjuncts()[0].head().arity());
   std::set<std::string> unavailable;
-  const bool parallel = pool != nullptr && pool->workers() > 0;
-
-  // Gating stays serial and in disjunct order even in parallel mode: the
-  // gate's AccessController caches verdicts per relation, so the probe
-  // sequence — and with it AccessStats and the DegradationReport — is
-  // byte-identical to the serial run. Only the pure joins fan out.
-  struct PendingJoin {
-    size_t disjunct;
-    obs::SpanId cq_span;
-    obs::SpanId join_span;
-  };
-  std::vector<PendingJoin> pending;
   size_t index = 0;
   for (const ConjunctiveQuery& cq : uq.disjuncts()) {
     if (cq.head().arity() != out.answers.arity()) {
@@ -432,7 +417,7 @@ Result<DegradedEvalResult> EvaluateUnionDegraded(const UnionQuery& uq,
                     out.answers.arity(), cq.head().arity()));
     }
     obs::ScopedSpan cq_span(trace, "eval_cq");
-    cq_span.Set("disjunct", static_cast<uint64_t>(index));
+    cq_span.Set("disjunct", static_cast<uint64_t>(index++));
     cq_span.Set("atoms", static_cast<uint64_t>(cq.body().size()));
     bool skipped = false;
     if (gate) {
@@ -451,47 +436,14 @@ Result<DegradedEvalResult> EvaluateUnionDegraded(const UnionQuery& uq,
     if (skipped) {
       ++out.disjuncts_skipped;
       cq_span.Set("skipped", true);
-      ++index;
       continue;
     }
-    if (!parallel) {
-      obs::ScopedSpan join_span(trace, "join");
-      PDMS_ASSIGN_OR_RETURN(Relation part, EvaluateCQ(cq, db));
-      join_span.Set("answers", static_cast<uint64_t>(part.size()));
-      join_span.End();
-      cq_span.Set("answers", static_cast<uint64_t>(part.size()));
-      out.answers.MergeFrom(std::move(part));
-    } else {
-      // Parallel mode: open and close the same spans now (the tree is
-      // structurally identical to the serial run; only the timings cover
-      // the dispatch rather than the join — see the determinism contract
-      // in docs/parallel_execution.md), and fill their "answers"
-      // attributes after the joins complete.
-      obs::ScopedSpan join_span(trace, "join");
-      pending.push_back({index, cq_span.id(), join_span.id()});
-    }
-    ++index;
-  }
-
-  if (parallel && !pending.empty()) {
-    // One task per surviving disjunct, each building its own Relation
-    // shard against the shared read-only database.
-    std::vector<std::optional<Result<Relation>>> shards(pending.size());
-    exec::ParallelFor(pool, pending.size(), [&](size_t k) {
-      shards[k].emplace(EvaluateCQ(uq.disjuncts()[pending[k].disjunct], db));
-    });
-    // Merge in disjunct order under set semantics: the answer relation's
-    // insertion order — and so its ToString — matches the serial run.
-    for (size_t k = 0; k < pending.size(); ++k) {
-      Result<Relation>& part = *shards[k];
-      if (!part.ok()) return part.status();
-      if (trace != nullptr) {
-        uint64_t n = static_cast<uint64_t>(part->size());
-        trace->SetAttribute(pending[k].join_span, "answers", n);
-        trace->SetAttribute(pending[k].cq_span, "answers", n);
-      }
-      out.answers.MergeFrom(std::move(*part));
-    }
+    obs::ScopedSpan join_span(trace, "join");
+    PDMS_ASSIGN_OR_RETURN(Relation part, EvaluateCQ(cq, db));
+    join_span.Set("answers", static_cast<uint64_t>(part.size()));
+    join_span.End();
+    cq_span.Set("answers", static_cast<uint64_t>(part.size()));
+    out.answers.MergeFrom(std::move(part));
   }
 
   out.unavailable_relations.assign(unavailable.begin(), unavailable.end());

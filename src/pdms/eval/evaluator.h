@@ -13,10 +13,6 @@
 
 namespace pdms {
 
-namespace exec {
-class ThreadPool;
-}  // namespace exec
-
 /// A satisfying assignment of body variables to data values.
 using BindingMap = std::unordered_map<std::string, Value>;
 
@@ -67,16 +63,13 @@ struct DegradedEvalResult {
 /// under it); with `metrics` attached the registry accumulates
 /// `eval.disjuncts` / `eval.disjuncts_skipped` / `eval.answers`.
 ///
-/// With `pool` attached (nullable, borrowed) the joins of the surviving
-/// disjuncts run as parallel tasks, each producing a private answer shard;
-/// shards are merged in disjunct order under set semantics, so answers,
-/// degradation report, metrics, and span structure are identical to the
-/// serial run (span timings cover dispatch rather than the join).
-/// Gating always stays serial and in disjunct order.
+/// The tuple-at-a-time reference oracle: answering runs
+/// qp::Engine::EvaluateUnionDegraded, and the engine tests and the
+/// eval_vectorized bench compare it against this one.
 Result<DegradedEvalResult> EvaluateUnionDegraded(
     const UnionQuery& uq, const Database& db, const StoredGate& gate,
-    obs::TraceContext* trace = nullptr, obs::MetricsRegistry* metrics = nullptr,
-    exec::ThreadPool* pool = nullptr);
+    obs::TraceContext* trace = nullptr,
+    obs::MetricsRegistry* metrics = nullptr);
 
 /// Drops tuples containing labeled nulls — used to extract certain answers
 /// from a chased instance.

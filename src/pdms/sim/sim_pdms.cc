@@ -4,9 +4,7 @@
 #include <map>
 #include <memory>
 
-#include "pdms/eval/evaluator.h"
-#include "pdms/lang/canonical.h"
-#include "pdms/lang/parser.h"
+#include "pdms/core/query_pipeline.h"
 #include "pdms/sim/event_loop.h"
 #include "pdms/sim/peer_node.h"
 #include "pdms/util/strings.h"
@@ -69,22 +67,8 @@ void SimPdms::SetPeerCrashed(const std::string& peer, bool crashed) {
 }
 
 Result<AnswerResult> SimPdms::Answer(std::string_view query_text) {
-  PDMS_ASSIGN_OR_RETURN(ConjunctiveQuery query, ParseRuleText(query_text));
-  // Same validation as Pdms::ParseQuery: queries range over declared peer
-  // or stored relations with matching arities.
-  for (const Atom& a : query.body()) {
-    if (!network_.IsPeerRelation(a.predicate()) &&
-        !network_.IsStoredRelation(a.predicate())) {
-      return Status::NotFound("query references unknown relation " +
-                              a.predicate());
-    }
-    PDMS_ASSIGN_OR_RETURN(size_t arity, network_.RelationArity(a.predicate()));
-    if (arity != a.arity()) {
-      return Status::InvalidArgument(
-          StrFormat("query uses %s with arity %zu (declared %zu)",
-                    a.predicate().c_str(), a.arity(), arity));
-    }
-  }
+  PDMS_ASSIGN_OR_RETURN(ConjunctiveQuery query,
+                        ParseNetworkQuery(network_, query_text));
   return Answer(query);
 }
 
@@ -134,87 +118,19 @@ Result<AnswerResult> SimPdms::Answer(const ConjunctiveQuery& query) {
     });
   }
 
-  ReformulationOptions effective = options_.reform;
-  effective.cost_estimator = estimator.get();
-  std::set<std::string> down = network_.UnavailableStoredRelations();
-  effective.unavailable_stored.insert(down.begin(), down.end());
-  effective.trace = trace_;
-  effective.metrics = metrics_;
-  effective.goal_memo = goal_memo_;
-  CacheScope scope;
-  scope.network = &network_;
-  scope.revision = network_.revision();
-  scope.epoch = network_.availability_epoch();
-  scope.unavailable_stored = effective.unavailable_stored;
-  scope.allowed_stored = effective.allowed_stored;
-  scope.options_fingerprint = OptionsFingerprint(effective);
-  if (goal_memo_ != nullptr) {
-    size_t dropped = goal_memo_->EnterScope(scope);
-    if (dropped > 0 && metrics_ != nullptr) {
-      metrics_->Add("cache.goal_memo_invalidations", dropped);
-    }
-  }
-  std::string plan_key;
-  std::shared_ptr<const PlanCacheHook::Plan> hit;
-  if (plan_cache_ != nullptr) {
-    size_t invalidated = plan_cache_->EnterScope(scope);
-    if (invalidated > 0 && metrics_ != nullptr) {
-      metrics_->Add("cache.invalidations", invalidated);
-    }
-    plan_key = CanonicalQueryKey(query);
-    obs::ScopedSpan lookup(trace_, "cache_lookup");
-    hit = plan_cache_->Find(plan_key);
-    lookup.Set("result", hit != nullptr ? "hit" : "miss");
-  }
-  ReformulationResult ref;
-  if (hit != nullptr) {
-    if (metrics_ != nullptr) metrics_->Add("cache.hits");
-    query_span.Set("cache", "hit");
-    out.plan_cache_hit = true;
-    ref.rewriting = hit->rewriting;
-    ref.physical_slot = hit->physical;  // share the compiled physical plan
-    ref.stats = hit->stats;  // the stats of the original reformulation
-    // The excluded_stored report is global (see Pdms::ReformulateCached):
-    // recompute it from the current scope rather than serving the one
-    // frozen at build time.
-    ref.stats.excluded_stored.clear();
-    for (const std::string& name : effective.unavailable_stored) {
-      if (network_.IsStoredRelation(name) &&
-          (effective.allowed_stored.empty() ||
-           effective.allowed_stored.count(name) > 0)) {
-        ref.stats.excluded_stored.push_back(name);
-      }
-    }
-  } else {
-    if (plan_cache_ != nullptr) {
-      if (metrics_ != nullptr) metrics_->Add("cache.misses");
-      query_span.Set("cache", "miss");
-    }
-    PDMS_ASSIGN_OR_RETURN(ref, reformulator_->Reformulate(query, effective));
-    if (plan_cache_ != nullptr && !ref.stats.tree_truncated &&
-        !ref.stats.enumeration_truncated) {
-      ref.physical_slot = std::make_shared<qp::PhysicalPlanSlot>();
-      PlanCacheHook::InsertOutcome outcome = plan_cache_->Insert(
-          plan_key, {ref.rewriting, ref.stats, ref.physical_slot},
-          network_.revision(), network_.availability_epoch());
-      if (metrics_ != nullptr) {
-        if (outcome.stored) metrics_->Add("cache.inserts");
-        if (outcome.dropped_stale) {
-          metrics_->Add("cache.inserts_dropped_stale");
-        }
-        if (outcome.evictions > 0) {
-          metrics_->Add("cache.evictions", outcome.evictions);
-        }
-      }
-    }
-  }
-  out.stats = ref.stats;
+  ReformulationOptions base = options_.reform;
+  base.cost_estimator = estimator.get();
+  QueryPipeline pipeline(network_, std::move(base),
+                         {trace_, metrics_, plan_cache_, goal_memo_});
+  PDMS_ASSIGN_OR_RETURN(QueryPlan plan, pipeline.Plan(query,
+                                                      reformulator_.get(),
+                                                      &query_span));
 
   // Step 2: every stored relation the rewritings scan must be fetched from
   // its owning peer over the simulated network. Relations served by no
   // peer stay local and cost no messages.
   std::set<std::string> needed;
-  for (const ConjunctiveQuery& disjunct : ref.rewriting.disjuncts()) {
+  for (const ConjunctiveQuery& disjunct : plan.rewriting().disjuncts()) {
     for (const Atom& atom : disjunct.body()) {
       if (network_.IsStoredRelation(atom.predicate())) {
         needed.insert(atom.predicate());
@@ -615,8 +531,9 @@ Result<AnswerResult> SimPdms::Answer(const ConjunctiveQuery& query) {
   fetch_span.End();
   if (!run.ok()) return run;  // detected hang; last_trace() has the story
 
-  // Assemble the coordinator's view of the data and the dynamic failures.
-  std::vector<std::string> failed;
+  // Assemble the coordinator's view of the data. Failed fetches stay out
+  // of it; the gate below reports them, so the evaluator skips exactly the
+  // disjuncts that touch one.
   for (auto& [relation, fetch] : fetches) {
     if (!fetch.resolved) {
       // Cannot happen while the timeout chain is intact; be defensive so a
@@ -626,44 +543,19 @@ Result<AnswerResult> SimPdms::Answer(const ConjunctiveQuery& query) {
     if (fetch.status.ok()) {
       (void)fetched.CreateRelation(relation, fetch.arity);
       for (const Tuple& t : fetch.tuples) fetched.Insert(relation, t);
-    } else {
-      failed.push_back(relation);  // map order: already sorted
     }
   }
 
-  // Step 3: evaluate the rewritings over what actually arrived, skipping
-  // disjuncts that touch a failed fetch.
-  size_t rewritings_skipped = 0;
-  if (!ref.rewriting.empty()) {
-    obs::ScopedSpan eval_span(trace_, "evaluate");
-    eval_span.Set("disjuncts", static_cast<uint64_t>(ref.rewriting.size()));
-    StoredGate gate = [&](const std::string& relation) {
-      auto it = fetches.find(relation);
-      return it == fetches.end() ? Status::Ok() : it->second.status;
-    };
-    // The simulated path evaluates vectorized too (same engine contract:
-    // canonically sorted answers, identical degradation report). The
-    // fetched database is rebuilt per query, so the columnar conversion is
-    // per query as well; the *physical plan* still comes from the shared
-    // slot when the statistics line up.
-    DegradedEvalResult eval;
-    if (options_.reform.vectorized_eval) {
-      PDMS_ASSIGN_OR_RETURN(
-          eval, engine_.EvaluateUnionDegraded(ref.rewriting, fetched, gate,
-                                              trace_, metrics_, nullptr,
-                                              ref.physical_slot.get()));
-    } else {
-      PDMS_ASSIGN_OR_RETURN(eval,
-                            EvaluateUnionDegraded(ref.rewriting, fetched, gate,
-                                                  trace_, metrics_));
-    }
-    out.answers = std::move(eval.answers);
-    rewritings_skipped = eval.disjuncts_skipped;
-    eval_span.Set("answers", static_cast<uint64_t>(out.answers.size()));
-  }
-
-  FillDegradationReport(network_, out.stats, failed, rewritings_skipped,
-                        access, !out.answers.empty(), &out.degradation);
+  // Step 3: evaluate the rewritings over what actually arrived. The
+  // fetched database is rebuilt per query, so its columnar conversion is
+  // per query as well; the *physical plan* still comes from the shared
+  // slot when the statistics line up.
+  StoredGate gate = [&](const std::string& relation) {
+    auto it = fetches.find(relation);
+    return it == fetches.end() ? Status::Ok() : it->second.status;
+  };
+  PDMS_RETURN_IF_ERROR(pipeline.Evaluate(std::move(plan), &engine_, fetched,
+                                         gate, access, &out));
   out.degradation.messages = net.stats();
   out.degradation.distributed = true;
   query_span.Set("answers", static_cast<uint64_t>(out.answers.size()));

@@ -158,8 +158,7 @@ class SimPdms {
   Database data_;
   SimOptions options_;
   std::unique_ptr<Reformulator> reformulator_;
-  /// Vectorized evaluation over the per-query fetched database (used when
-  /// options().reform.vectorized_eval, the default).
+  /// Vectorized evaluation over the per-query fetched database.
   qp::Engine engine_;
   std::set<std::pair<std::string, std::string>> partitions_;
   std::set<std::string> crashed_;

@@ -3,7 +3,8 @@
 // shape — the vectorized evaluator must return byte-identical answers to
 // the legacy tuple-at-a-time evaluator after canonical ordering, across
 // thread counts (1/2/8) and plan-cache states (cold, warm, shared). The
-// legacy twin stays in the tree exactly so this suite can hold the line.
+// legacy evaluator stays in the tree as the oracle (legacy_oracle.h)
+// exactly so this suite can hold the line.
 
 #include <cstddef>
 #include <string>
@@ -16,6 +17,7 @@
 #include "pdms/core/pdms.h"
 #include "pdms/gen/workload.h"
 #include "pdms/obs/metrics.h"
+#include "legacy_oracle.h"
 
 namespace pdms {
 namespace {
@@ -36,11 +38,9 @@ gen::Workload MakeWorkload(uint64_t seed, size_t facts_per_stored,
   return std::move(*workload);
 }
 
-Pdms MakePdms(const gen::Workload& workload, size_t threads,
-              bool vectorized) {
+Pdms MakePdms(const gen::Workload& workload, size_t threads) {
   ReformulationOptions options;
   options.threads = threads;
-  options.vectorized_eval = vectorized;
   Pdms pdms(options);
   *pdms.mutable_network() = workload.network;
   *pdms.mutable_database() = workload.data;
@@ -56,9 +56,8 @@ struct Outcome {
   std::string report;
 };
 
-Outcome RunOne(Pdms* pdms, const ConjunctiveQuery& query) {
+Outcome Render(const Result<AnswerResult>& result) {
   Outcome out;
-  auto result = pdms->AnswerWithReport(query);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   if (result.ok()) {
     Relation sorted = result->answers;
@@ -69,16 +68,25 @@ Outcome RunOne(Pdms* pdms, const ConjunctiveQuery& query) {
   return out;
 }
 
+Outcome RunOne(Pdms* pdms, const ConjunctiveQuery& query) {
+  return Render(pdms->AnswerWithReport(query));
+}
+
+// The legacy evaluator over the facade's reformulation.
+Outcome RunOracle(Pdms* pdms, const ConjunctiveQuery& query) {
+  return Render(LegacyAnswerWithReport(pdms, query));
+}
+
 TEST(QpEquivalence, VectorizedMatchesLegacyAcrossSeedsAndThreads) {
   for (uint64_t seed : {3u, 17u, 58u, 104u}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     gen::Workload workload =
         MakeWorkload(seed, /*facts_per_stored=*/6, /*value_domain=*/8);
-    Pdms legacy = MakePdms(workload, /*threads=*/1, /*vectorized=*/false);
-    Outcome want = RunOne(&legacy, workload.query);
+    Pdms legacy = MakePdms(workload, /*threads=*/1);
+    Outcome want = RunOracle(&legacy, workload.query);
     for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
       SCOPED_TRACE("threads " + std::to_string(threads));
-      Pdms vectorized = MakePdms(workload, threads, /*vectorized=*/true);
+      Pdms vectorized = MakePdms(workload, threads);
       Outcome got = RunOne(&vectorized, workload.query);
       EXPECT_EQ(got.answers, want.answers);
       EXPECT_EQ(got.report, want.report);
@@ -92,9 +100,9 @@ TEST(QpEquivalence, SparseAndDenseValueDomains) {
   for (int64_t domain : {int64_t{2}, int64_t{64}}) {
     SCOPED_TRACE("domain " + std::to_string(domain));
     gen::Workload workload = MakeWorkload(29, /*facts_per_stored=*/8, domain);
-    Pdms legacy = MakePdms(workload, 1, false);
-    Pdms vectorized = MakePdms(workload, 2, true);
-    Outcome want = RunOne(&legacy, workload.query);
+    Pdms legacy = MakePdms(workload, 1);
+    Pdms vectorized = MakePdms(workload, 2);
+    Outcome want = RunOracle(&legacy, workload.query);
     Outcome got = RunOne(&vectorized, workload.query);
     EXPECT_EQ(got.answers, want.answers);
     EXPECT_EQ(got.report, want.report);
@@ -103,14 +111,14 @@ TEST(QpEquivalence, SparseAndDenseValueDomains) {
 
 TEST(QpEquivalence, PlanCacheStateDoesNotChangeAnswers) {
   gen::Workload workload = MakeWorkload(41, 6, 8);
-  Pdms legacy = MakePdms(workload, 1, false);
-  Outcome want = RunOne(&legacy, workload.query);
+  Pdms legacy = MakePdms(workload, 1);
+  Outcome want = RunOracle(&legacy, workload.query);
 
   // Cold, then warm through the same facade-attached cache: the second
   // query reuses both the rewriting and the cached physical plan.
   cache::PlanCache cache;
   obs::MetricsRegistry metrics;
-  Pdms vectorized = MakePdms(workload, 2, true);
+  Pdms vectorized = MakePdms(workload, 2);
   vectorized.set_plan_cache(&cache);
   vectorized.set_metrics(&metrics);
   Outcome cold = RunOne(&vectorized, workload.query);
@@ -122,7 +130,7 @@ TEST(QpEquivalence, PlanCacheStateDoesNotChangeAnswers) {
 
   // A different facade sharing the cache (the serving pattern) also
   // reuses the plan slot and still matches.
-  Pdms sharer = MakePdms(workload, 1, true);
+  Pdms sharer = MakePdms(workload, 1);
   sharer.set_plan_cache(&cache);
   Outcome shared = RunOne(&sharer, workload.query);
   EXPECT_EQ(shared.answers, want.answers);
@@ -133,9 +141,9 @@ TEST(QpEquivalence, InsertsBetweenQueriesKeepTheEnginesAligned) {
   // both engines (the catalog refreshes incrementally; the cached plan's
   // fingerprint goes stale and is recompiled).
   gen::Workload workload = MakeWorkload(77, 5, 6);
-  Pdms legacy = MakePdms(workload, 1, false);
-  Pdms vectorized = MakePdms(workload, 2, true);
-  RunOne(&legacy, workload.query);
+  Pdms legacy = MakePdms(workload, 1);
+  Pdms vectorized = MakePdms(workload, 2);
+  RunOracle(&legacy, workload.query);
   RunOne(&vectorized, workload.query);
 
   // Replay every stored fact (duplicates exercise dedup) and add one
@@ -156,7 +164,7 @@ TEST(QpEquivalence, InsertsBetweenQueriesKeepTheEnginesAligned) {
       ASSERT_EQ(a.ok(), b.ok());
     }
   }
-  Outcome want = RunOne(&legacy, workload.query);
+  Outcome want = RunOracle(&legacy, workload.query);
   Outcome got = RunOne(&vectorized, workload.query);
   EXPECT_EQ(got.answers, want.answers);
   EXPECT_EQ(got.report, want.report);

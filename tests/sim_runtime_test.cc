@@ -265,6 +265,28 @@ TEST(SimPdmsTest, FaultFreeMatchesInProcessFacade) {
   EXPECT_FALSE(sim.last_trace().empty());
 }
 
+TEST(SimPdmsTest, RejectsInvalidQueriesLikeTheFacade) {
+  // One validator serves both entry points: an unknown relation is
+  // kNotFound, a wrong arity kInvalidArgument, with the same message.
+  Pdms central = MakeCentral();
+  SimPdms sim(central.network(), central.database());
+  for (const char* text : {"q(n) :- H:Nurse(n).", "q(n) :- H:Doctor(n)."}) {
+    SCOPED_TRACE(text);
+    auto local = central.ParseQuery(text);
+    auto simulated = sim.Answer(text);
+    ASSERT_FALSE(local.ok());
+    ASSERT_FALSE(simulated.ok());
+    EXPECT_EQ(simulated.status().code(), local.status().code());
+    EXPECT_EQ(simulated.status().ToString(), local.status().ToString());
+  }
+  EXPECT_EQ(sim.Answer("q(n) :- H:Nurse(n).").status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(sim.Answer("q(n) :- H:Doctor(n).").status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(central.Answer("q(n) :- H:Doctor(n).").status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(SimPdmsTest, PartitionDegradesAndHealRestores) {
   Pdms central = MakeCentral();
   SimPdms sim(central.network(), central.database());

@@ -1,13 +1,12 @@
 // Streaming answers (Pdms::AnswerStreaming) against the union evaluator.
 // Streaming evaluates each rewriting through the vectorized engine as the
-// reformulator emits it; the legacy tuple-at-a-time union evaluator of
-// AnswerWithReport (vectorized_eval = false) is the oracle. Covered on
+// reformulator emits it; the legacy tuple-at-a-time union evaluator over
+// the facade's reformulation (legacy_oracle.h) is the oracle. Covered on
 // seeded Section-5 generator worlds (diameters 1-3) and the Figure-1
 // emergency scenario:
 //
-//  - the streamed answer set equals the oracle's, under both
-//    vectorized_eval settings and on both streaming branches (plan-cache
-//    miss, and hit with a warmed CachingPdms);
+//  - the streamed answer set equals the oracle's on both streaming
+//    branches (plan-cache miss, and hit with a warmed CachingPdms);
 //  - stopping after k answers delivers exactly k distinct tuples;
 //  - under a downed peer and under a seeded flaky injector, the access.*
 //    counters and the answers equal a replay of the legacy streaming
@@ -32,6 +31,7 @@
 #include "pdms/gen/workload.h"
 #include "pdms/obs/metrics.h"
 #include "pdms/obs/trace.h"
+#include "legacy_oracle.h"
 
 namespace pdms {
 namespace {
@@ -87,12 +87,6 @@ std::vector<World> Worlds() {
   return worlds;
 }
 
-ReformulationOptions Options(bool vectorized) {
-  ReformulationOptions options;
-  options.vectorized_eval = vectorized;
-  return options;
-}
-
 void Load(const World& world, Pdms* pdms) {
   *pdms->mutable_network() = world.network;
   *pdms->mutable_database() = world.data;
@@ -103,11 +97,11 @@ std::string Canonical(Relation rel) {
   return rel.ToString();
 }
 
-// The oracle: the legacy union evaluator behind AnswerWithReport.
+// The oracle: the legacy union evaluator over the facade's reformulation.
 std::string Oracle(const World& world, const ConjunctiveQuery& query) {
-  Pdms legacy(Options(/*vectorized=*/false));
+  Pdms legacy;
   Load(world, &legacy);
-  auto result = legacy.AnswerWithReport(query);
+  auto result = LegacyAnswerWithReport(&legacy, query);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   return result.ok() ? Canonical(result->answers) : "";
 }
@@ -129,7 +123,7 @@ std::string StreamAll(Pdms* pdms, const ConjunctiveQuery& query) {
   return Canonical(*result);
 }
 
-TEST(StreamingEquivalence, MatchesUnionEvaluatorUnderBothSettings) {
+TEST(StreamingEquivalence, MatchesUnionEvaluator) {
   size_t nonempty = 0;
   for (const World& world : Worlds()) {
     SCOPED_TRACE(world.name);
@@ -140,15 +134,12 @@ TEST(StreamingEquivalence, MatchesUnionEvaluatorUnderBothSettings) {
                                      query.head().arity()))) {
         ++nonempty;
       }
-      for (bool vectorized : {false, true}) {
-        SCOPED_TRACE(vectorized ? "vectorized_eval" : "legacy union");
-        Pdms pdms(Options(vectorized));
-        Load(world, &pdms);
-        EXPECT_EQ(StreamAll(&pdms, query), want);
-        // A second stream on the same facade runs over the now-converted
-        // columnar catalog and must not change.
-        EXPECT_EQ(StreamAll(&pdms, query), want);
-      }
+      Pdms pdms;
+      Load(world, &pdms);
+      EXPECT_EQ(StreamAll(&pdms, query), want);
+      // A second stream on the same facade runs over the now-converted
+      // columnar catalog and must not change.
+      EXPECT_EQ(StreamAll(&pdms, query), want);
     }
   }
   // The worlds are sized so that most queries have answers; an all-empty
@@ -162,18 +153,15 @@ TEST(StreamingEquivalence, PlanCacheHitBranchMatches) {
     for (const ConjunctiveQuery& query : world.queries) {
       SCOPED_TRACE(query.ToString());
       std::string want = Oracle(world, query);
-      for (bool vectorized : {false, true}) {
-        SCOPED_TRACE(vectorized ? "vectorized_eval" : "legacy union");
-        cache::CachingPdms cached(cache::CacheConfig{}, Options(vectorized));
-        Load(world, cached.pdms());
-        obs::MetricsRegistry metrics;
-        cached.set_metrics(&metrics);
-        auto warm = cached.AnswerWithReport(query);
-        ASSERT_TRUE(warm.ok()) << warm.status().ToString();
-        const uint64_t hits = metrics.counter("cache.hits");
-        EXPECT_EQ(StreamAll(cached.pdms(), query), want);
-        EXPECT_EQ(metrics.counter("cache.hits"), hits + 1);
-      }
+      cache::CachingPdms cached;
+      Load(world, cached.pdms());
+      obs::MetricsRegistry metrics;
+      cached.set_metrics(&metrics);
+      auto warm = cached.AnswerWithReport(query);
+      ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+      const uint64_t hits = metrics.counter("cache.hits");
+      EXPECT_EQ(StreamAll(cached.pdms(), query), want);
+      EXPECT_EQ(metrics.counter("cache.hits"), hits + 1);
     }
   }
 }

@@ -34,12 +34,16 @@
 #      (cross-process trace grafting, rolling window, stats frame,
 #      access log) under TSan (docs/serving_telemetry.md).
 #  10. query-planner gate: the qp storage/planner suite, the seeded
-#      legacy-vs-vectorized equivalence property suite, and the client-
-#      pool suite re-run under asan+ubsan and under TSan (the equivalence
-#      suite fans disjuncts out over real worker threads), and the
-#      streaming-vs-union equivalence suite (per-rewriting engine
-#      evaluation on both plan-cache branches, early stop, gating order)
-#      under asan+ubsan, plus a join micro-bench smoke and a small
+#      engine-vs-legacy-oracle equivalence property suite (the vectorized
+#      engine on every answering path against the tuple-at-a-time
+#      evaluator kept as its oracle), and the client-pool suite re-run
+#      under asan+ubsan and under TSan (the equivalence suite fans
+#      disjuncts out over real worker threads), the streaming-vs-oracle
+#      equivalence suite (per-rewriting engine evaluation on both
+#      plan-cache branches, early stop, gating order) and the pipeline
+#      parity suite (Pdms, streaming and SimPdms agree on answers,
+#      reports and cache counters, cold, warm and after an availability
+#      flip) under asan+ubsan, plus a join micro-bench smoke and a small
 #      end-to-end engine comparison whose soundness check must pass
 #      (docs/query_planning.md).
 #  11. network-cost gate: the topology/link-map/network-model suite and a
@@ -229,6 +233,7 @@ echo "== [10/11] qp gate: asan + tsan suites, eval bench smoke =="
 "${ASAN_BUILD_DIR}/tests/qp_test"
 "${ASAN_BUILD_DIR}/tests/qp_equivalence_test"
 "${ASAN_BUILD_DIR}/tests/streaming_equivalence_test"
+"${ASAN_BUILD_DIR}/tests/pipeline_parity_test"
 "${ASAN_BUILD_DIR}/tests/serve_client_pool_test"
 # Under TSan: the equivalence suite runs the vectorized engine at 1/2/8
 # threads over shared plan caches, the client-pool suite hands leases
