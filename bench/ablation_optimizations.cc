@@ -5,8 +5,7 @@
 //    viability pass),
 //  - constraint-label satisfiability pruning (matters only when the
 //    workload carries comparison predicates),
-//  - priority-ordered expansion (affects time to the first rewritings),
-//  - memoized (dynamic-programming) solution enumeration vs. streaming.
+//  - priority-ordered expansion (affects time to the first rewritings).
 //
 // For each configuration we report tree size, time to first rewriting,
 // and total reformulation time with a capped enumeration.
@@ -28,18 +27,16 @@ struct Config {
   bool dead_ends;
   bool unsat;
   bool order;
-  bool memoize;
 };
 
 void RunSweep(const char* title, double comparison_fraction, size_t runs,
               size_t diameter, bench::JsonReport* report) {
   static constexpr Config kConfigs[] = {
-      {"all optimizations", true, true, true, false},
-      {"no dead-end pruning", false, true, true, false},
-      {"no constraint pruning", true, false, true, false},
-      {"no priority order", true, true, false, false},
-      {"memoized enumeration", true, true, true, true},
-      {"none", false, false, false, false},
+      {"all optimizations", true, true, true},
+      {"no dead-end pruning", false, true, true},
+      {"no constraint pruning", true, false, true},
+      {"no priority order", true, true, false},
+      {"none", false, false, false},
   };
   std::printf("%s\n", title);
   std::printf("  %-24s %10s %12s %12s %12s %10s\n", "configuration",
@@ -65,7 +62,6 @@ void RunSweep(const char* title, double comparison_fraction, size_t runs,
       options.prune_dead_ends = cfg.dead_ends;
       options.prune_unsatisfiable = cfg.unsat;
       options.order_expansions = cfg.order;
-      options.memoize_solutions = cfg.memoize;
       options.max_rewritings = 2000;
       options.time_budget_ms = 20000;
       Reformulator reformulator(workload->network, options);

@@ -52,7 +52,6 @@ Point MeasurePoint(size_t peers, size_t diameter, double dd, size_t runs,
     auto workload = gen::GenerateWorkload(config);
     if (!workload.ok()) continue;
     ReformulationOptions options;
-    options.memoize_solutions = false;  // streaming: fastest first results
     options.max_rewritings = max_rewritings;
     options.time_budget_ms = budget_ms;
     options.metrics = metrics;

@@ -470,10 +470,10 @@ void CacheCommand(const std::string& args) {
 }
 
 // `threads` / `threads <n>`: show or set the parallelism of the in-process
-// facade (reformulation forks + parallel disjunct evaluation). The
-// simulated runtime that serves `?` queries stays single-threaded by
-// design (deterministic message schedule); the knob affects `plan`/`tree`
-// and any direct facade answering.
+// facade's evaluation (disjunct fan-out and partitioned join probes);
+// reformulation is serial at every setting, so `plan`/`tree` output does
+// not change with it. The simulated runtime that serves `?` queries keeps
+// its message schedule single-threaded by design.
 void ThreadsCommand(const std::string& args) {
   if (args.empty()) {
     std::printf("threads: %zu\n", g_pdms.options().threads);

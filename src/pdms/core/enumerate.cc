@@ -1,6 +1,5 @@
 #include "pdms/core/enumerate.h"
 
-#include <map>
 #include <set>
 #include <unordered_set>
 
@@ -37,30 +36,9 @@ class Enumerator {
 
   void Run() {
     if (tree_.root == nullptr || !tree_.root->viable) return;
-    if (options_.memoize_solutions) {
-      const std::vector<Partial>& finals = SolveExpansion(*tree_.root);
-      for (const Partial& p : finals) {
-        if (!EmitPartial(p)) break;
-      }
-      if (memo_exhausted_ && !stopped_) {
-        // Materialization blew the partial cap (possibly before any
-        // root-level solution completed). Fall back to the streaming
-        // strategy so the caller still gets results; the canonical-key
-        // dedup suppresses anything already emitted. The cap doubles as
-        // the fallback's work bound — without it a tiny cap plus no other
-        // budget would turn into an unbounded enumeration.
-        size_t already = stats_->rewritings;
-        Partial empty;
-        StreamExpansion(*tree_.root, empty, [&](const Partial& p) {
-          if (!EmitPartial(p)) return false;
-          return stats_->rewritings - already < options_.max_memo_partials;
-        });
-      }
-    } else {
-      Partial empty;
-      StreamExpansion(*tree_.root, empty,
-                      [this](const Partial& p) { return EmitPartial(p); });
-    }
+    Partial empty;
+    StreamExpansion(*tree_.root, empty,
+                    [this](const Partial& p) { return EmitPartial(p); });
   }
 
  private:
@@ -74,8 +52,6 @@ class Enumerator {
     }
     return true;
   }
-
-  // ---------- streaming depth-first strategy ----------
 
   // Extends `in` with the contribution of expansion `e` (its unifier,
   // constraints, and one solution of each covered child), passing each
@@ -130,86 +106,6 @@ class Enumerator {
     }
     return true;
   }
-
-  // ---------- memoized (dynamic programming) strategy ----------
-
-  const std::vector<Partial>& SolveExpansion(const ExpansionNode& e) {
-    auto it = memo_.find(&e);
-    if (it != memo_.end()) return it->second;
-    std::vector<Partial> solutions;
-    Partial base;
-    base.sigma = e.unifier;
-    base.required = e.required_constraints.comparisons();
-    base.granted = e.granted_constraints.comparisons();
-    SolveCover(e, 0, base, &solutions);
-    return memo_.emplace(&e, std::move(solutions)).first->second;
-  }
-
-  void SolveCover(const ExpansionNode& e, uint64_t mask, const Partial& in,
-                  std::vector<Partial>* out) {
-    if (memo_exhausted_ || !Budget()) return;
-    // Materialization may spend at most half the time budget; the rest is
-    // reserved for emitting (via the streaming fallback if necessary) so a
-    // timeout never yields zero rewritings when some exist.
-    if (options_.time_budget_ms > 0 &&
-        timer_.ElapsedMillis() > 0.5 * options_.time_budget_ms) {
-      stats_->enumeration_truncated = true;
-      memo_exhausted_ = true;
-      return;
-    }
-    PDMS_CHECK(e.children.size() <= 64);
-    uint64_t universe =
-        e.children.empty()
-            ? 0
-            : (e.children.size() == 64
-                   ? ~uint64_t{0}
-                   : (uint64_t{1} << e.children.size()) - 1);
-    if ((mask & universe) == universe) {
-      if (++memo_partials_ > options_.max_memo_partials) {
-        // Stop materializing, but keep (and later emit) what was already
-        // collected — the result is truncated, not empty.
-        stats_->enumeration_truncated = true;
-        memo_exhausted_ = true;
-        return;
-      }
-      out->push_back(in);
-      return;
-    }
-    size_t i = 0;
-    while ((mask >> i) & 1) ++i;
-    const GoalNode& child = *e.children[i];
-    if (child.is_stored) {
-      Partial p = in;
-      p.atoms.push_back(child.label);
-      SolveCover(e, mask | (uint64_t{1} << i), p, out);
-      return;
-    }
-    if (!child.viable) return;
-    for (const auto& exp : child.expansions) {
-      if (!exp->viable) continue;
-      uint64_t newmask = mask;
-      if (exp->kind == ExpansionNode::Kind::kDefinitional) {
-        newmask |= uint64_t{1} << i;
-      } else {
-        for (size_t u : exp->unc) newmask |= uint64_t{1} << u;
-      }
-      // Recursion before memo use would re-enter; SolveExpansion caches.
-      const std::vector<Partial>& subs = SolveExpansion(*exp);
-      for (const Partial& sub : subs) {
-        Partial p = in;
-        if (!p.sigma.Merge(sub.sigma)) continue;
-        p.atoms.insert(p.atoms.end(), sub.atoms.begin(), sub.atoms.end());
-        p.required.insert(p.required.end(), sub.required.begin(),
-                          sub.required.end());
-        p.granted.insert(p.granted.end(), sub.granted.begin(),
-                         sub.granted.end());
-        SolveCover(e, newmask, p, out);
-        if (stopped_) return;
-      }
-    }
-  }
-
-  // ---------- assembly ----------
 
   // Turns a complete partial into a conjunctive rewriting; returns false to
   // stop the whole enumeration (budget hit or sink refused).
@@ -298,10 +194,7 @@ class Enumerator {
   ReformulationStats* stats_;
   const RewritingSink& sink_;
   bool stopped_ = false;
-  size_t memo_partials_ = 0;
-  bool memo_exhausted_ = false;
   std::set<std::string> seen_;
-  std::map<const ExpansionNode*, std::vector<Partial>> memo_;
 };
 
 }  // namespace

@@ -20,12 +20,8 @@ using RewritingSink = std::function<bool(const ConjunctiveQuery&)>;
 /// combinations); and assembles each successful combination into a
 /// conjunctive query over stored relations, which is handed to `sink`.
 ///
-/// Two strategies, selected by `options.memoize_solutions`:
-///  - streaming depth-first (false): no materialization, first rewritings
-///    arrive as fast as the leftmost viable path completes;
-///  - memoized (true): per-expansion solution lists are computed once and
-///    reused across sibling combinations — much faster when all rewritings
-///    are wanted, at the cost of materialization.
+/// The walk streams depth-first: nothing is materialized, and the first
+/// rewritings arrive as soon as the leftmost viable path completes.
 ///
 /// `timer` supplies elapsed-time stamps (shared with the build phase so
 /// reported times measure from query submission, as in Figure 4); stats

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "pdms/core/cost_estimator.h"
-#include "pdms/exec/thread_pool.h"
 #include "pdms/lang/canonical.h"
 #include "pdms/minicon/mcd.h"
 #include "pdms/util/strings.h"
@@ -189,24 +188,6 @@ void CollectGoalVars(const GoalNode& g, std::vector<std::string>* out) {
   for (const auto& exp : g.expansions) CollectExpansionVars(*exp, out);
 }
 
-// Folds a parallel child task's counters into its parent's. Only the
-// build-phase counters can be nonzero in a child; enumeration-phase fields
-// (combos_failed, rewritings, timings) and the root-filled excluded_stored
-// stay with the root stats.
-void MergeStatsCounters(ReformulationStats* into,
-                        const ReformulationStats& from) {
-  into->goal_nodes += from.goal_nodes;
-  into->rule_nodes += from.rule_nodes;
-  into->inclusion_nodes += from.inclusion_nodes;
-  into->definitional_nodes += from.definitional_nodes;
-  into->pruned_unsat += from.pruned_unsat;
-  into->pruned_dead += from.pruned_dead;
-  into->pruned_guard += from.pruned_guard;
-  into->pruned_unavailable += from.pruned_unavailable;
-  into->goal_memo_hits += from.goal_memo_hits;
-  into->goal_memo_nodes += from.goal_memo_nodes;
-}
-
 // Node counts and a rough heap footprint for the memo's byte budget.
 void CountSubtree(const ExpansionNode& e, GoalSubtree* t) {
   ++t->rule_nodes;
@@ -376,9 +357,12 @@ Result<RuleGoalTree> TreeBuilder::Build(const ConjunctiveQuery& query) {
   tree.root->required_constraints = ConstraintSet(query.comparisons());
   tree.root->label = tree.root->required_constraints;
 
-  node_count_.store(1, std::memory_order_relaxed);
-  truncated_.store(false, std::memory_order_relaxed);
+  node_count_ = 1;
+  truncated_ = false;
+  path_.clear();
   ReformulationStats& stats = tree.stats;
+  stats_ = &stats;
+  deps_ = &stats.deps;
   stats.rule_nodes = 1;
   stats.definitional_nodes = 1;
   stats.excluded_stored =
@@ -393,78 +377,19 @@ Result<RuleGoalTree> TreeBuilder::Build(const ConjunctiveQuery& query) {
     goal->index_in_scope = i;
     goal->constraints = tree.root->label.Project(AtomVars(goal->label));
     tree.root->children.push_back(std::move(goal));
-    node_count_.fetch_add(1, std::memory_order_relaxed);
+    ++node_count_;
     ++stats.goal_nodes;
   }
 
-  std::set<size_t> path;
-  TaskState root{&fresh_, &path, &stats, &stats.deps, options_.trace, "_t"};
-  BuildScope({tree.root.get(), query.head()}, &root);
-  stats.tree_truncated = truncated_.load(std::memory_order_relaxed);
+  BuildScope({tree.root.get(), query.head()});
+  stats.tree_truncated = truncated_;
 
   MarkViability(tree.root.get());
   return tree;
 }
 
-bool TreeBuilder::Parallel() const { return options_.executor != nullptr; }
-
-void TreeBuilder::BuildScope(const ScopeContext& ctx, TaskState* ts) {
-  if (!Parallel()) {
-    for (auto& child : ctx.scope->children) {
-      ExpandGoal(ctx, child.get(), ts);
-    }
-  } else {
-    // One task per sibling goal — the goals of one scope share no mutable
-    // state, so each gets a full TaskState (path-prefixed factory, path
-    // copy, private stats and trace) and runs wherever the pool schedules
-    // it. Everything is merged back in child-index order, so the resulting
-    // tree, stats, and span sequence do not depend on the schedule. The
-    // sub-state is created even when a task ends up running inline on this
-    // thread, which is what makes the output identical across thread
-    // counts.
-    struct SubTask {
-      VariableFactory fresh;
-      std::set<size_t> path;
-      ReformulationStats stats;
-      std::optional<obs::TraceContext> trace;
-      TaskState ts;
-    };
-    const size_t n = ctx.scope->children.size();
-    std::vector<std::unique_ptr<SubTask>> subs;
-    subs.reserve(n);
-    obs::SpanId graft =
-        ts->trace != nullptr ? ts->trace->current() : obs::kNoSpan;
-    exec::TaskGroup group(options_.executor);
-    for (size_t i = 0; i < n; ++i) {
-      auto sub = std::make_unique<SubTask>();
-      // "g" marks a goal-level fork; suffixes always start with a letter,
-      // so no two distinct task prefixes can generate the same name.
-      std::string prefix = ts->prefix + "g" + std::to_string(i) + "_";
-      sub->fresh = VariableFactory(prefix);
-      sub->path = *ts->path;
-      if (ts->trace != nullptr) sub->trace.emplace(ts->trace->Fork());
-      sub->ts = TaskState{&sub->fresh, &sub->path, &sub->stats,
-                          &sub->stats.deps,
-                          sub->trace ? &*sub->trace : nullptr,
-                          std::move(prefix)};
-      subs.push_back(std::move(sub));
-      SubTask* raw = subs.back().get();
-      GoalNode* child = ctx.scope->children[i].get();
-      group.Run([this, &ctx, child, raw] {
-        ExpandGoal(ctx, child, &raw->ts);
-      });
-    }
-    group.Wait();
-    for (size_t i = 0; i < n; ++i) {
-      MergeStatsCounters(ts->stats, subs[i]->stats);
-      // Footprints merge through ts->deps, not ts->stats->deps: the two
-      // differ while a memoable ancestor is capturing its subtree.
-      ts->deps->MergeFrom(subs[i]->stats.deps);
-      if (ts->trace != nullptr && subs[i]->trace.has_value()) {
-        ts->trace->MergeChild(graft, std::move(*subs[i]->trace));
-      }
-    }
-  }
+void TreeBuilder::BuildScope(const ScopeContext& ctx) {
+  for (auto& child : ctx.scope->children) ExpandGoal(ctx, child.get());
   if (options_.order_expansions) {
     // Priority scheme: explore expansions that reach stored relations in
     // fewer levels first, so the depth-first enumeration emits its first
@@ -500,18 +425,17 @@ void TreeBuilder::BuildScope(const ScopeContext& ctx, TaskState* ts) {
   }
 }
 
-void TreeBuilder::ExpandGoal(const ScopeContext& ctx, GoalNode* goal,
-                             TaskState* ts) {
+void TreeBuilder::ExpandGoal(const ScopeContext& ctx, GoalNode* goal) {
   const std::string& pred = goal->label.predicate();
   // Every goal predicate the build touches — stored leaves included — is
   // part of the footprint: an availability flip or mapping change naming
   // it must invalidate whatever was built here.
-  ts->deps->predicates.insert(pred);
+  deps_->predicates.insert(pred);
   if (goal->is_stored) return;
   // One span per goal-node expansion; the per-candidate spans below nest
   // under it, so the explain tree mirrors the rule-goal tree. Prune-reason
   // attributes name the Section 4.3 optimization that fired.
-  obs::ScopedSpan goal_span(ts->trace, "expand");
+  obs::ScopedSpan goal_span(options_.trace, "expand");
   goal_span.Set("goal", pred);
   if (rules_.stored.count(pred) > 0 &&
       options_.unavailable_stored.count(pred) > 0) {
@@ -519,16 +443,16 @@ void TreeBuilder::ExpandGoal(const ScopeContext& ctx, GoalNode* goal,
     // relations have no rules) and not scannable. Count separately from
     // structural dead ends so the degradation report can attribute the
     // loss to peer unavailability.
-    ++ts->stats->pruned_unavailable;
+    ++stats_->pruned_unavailable;
     goal_span.Set("pruned", "unavailable");
     return;
   }
   if (options_.prune_dead_ends && !Answerable(pred)) {
     if (DeadOnlyByAvailability(pred)) {
-      ++ts->stats->pruned_unavailable;
+      ++stats_->pruned_unavailable;
       goal_span.Set("pruned", "unavailable");
     } else {
-      ++ts->stats->pruned_dead;
+      ++stats_->pruned_dead;
       goal_span.Set("pruned", "dead_end");
     }
     return;
@@ -543,10 +467,10 @@ void TreeBuilder::ExpandGoal(const ScopeContext& ctx, GoalNode* goal,
       options_.goal_memo != nullptr && ctx.scope->children.size() == 1;
   std::string memo_key;
   if (memoable) {
-    memo_key = GoalMemoKey(*goal, ctx, *ts->path);
+    memo_key = GoalMemoKey(*goal, ctx, path_);
     if (std::shared_ptr<const GoalSubtree> t =
             options_.goal_memo->Find(memo_key)) {
-      if (RehydrateGoalSubtree(*t, ctx, goal, ts)) {
+      if (RehydrateGoalSubtree(*t, ctx, goal)) {
         goal_span.Set("memo", "hit");
         return;
       }
@@ -559,18 +483,18 @@ void TreeBuilder::ExpandGoal(const ScopeContext& ctx, GoalNode* goal,
   // belong in the parent's footprint).
   DepSet memo_deps;
   struct DepCapture {
-    TaskState* ts;
+    DepSet** recorder;
     DepSet* parent;
     ~DepCapture() {
-      parent->MergeFrom(*ts->deps);
-      ts->deps = parent;
+      parent->MergeFrom(**recorder);
+      *recorder = parent;
     }
   };
   std::optional<DepCapture> capture;
   if (memoable) {
     memo_deps.predicates.insert(pred);
-    capture.emplace(DepCapture{ts, ts->deps});
-    ts->deps = &memo_deps;
+    capture.emplace(&deps_, deps_);
+    deps_ = &memo_deps;
   }
 
   auto rit = rules_.rules_by_head.find(pred);
@@ -595,82 +519,19 @@ void TreeBuilder::ExpandGoal(const ScopeContext& ctx, GoalNode* goal,
     iface = Atom("$iface", ctx.interface.args());
   }
 
-  if (!Parallel()) {
-    // Serial: one depth-first sweep over the candidates, definitional
-    // rules first — exactly the original single-threaded walk. A false
-    // return means the node budget fired; the goal is abandoned mid-sweep
-    // (and not memoized), like the original early return.
-    if (has_rules) {
-      for (size_t idx : rit->second) {
-        if (!TryDefinitionalCandidate(ctx, goal, rules_.rules[idx], ts,
-                                      &goal->expansions)) {
-          return;
-        }
-      }
+  // One depth-first sweep over the candidates, definitional rules first.
+  // A false return means the node budget fired; the goal is abandoned
+  // mid-sweep (and not memoized).
+  if (has_rules) {
+    for (size_t idx : rit->second) {
+      if (!TryDefinitionalCandidate(goal, rules_.rules[idx])) return;
     }
-    if (has_views) {
-      for (size_t idx : vit->second) {
-        if (!TryInclusionCandidate(ctx, goal, rules_.views[idx], siblings,
-                                   iface, ts, &goal->expansions)) {
-          return;
-        }
-      }
-    }
-  } else {
-    // Parallel: each rule/view candidate becomes a task expanding into a
-    // private expansion list with private state, joined and merged in
-    // candidate order — so the expansion order (which fixes the rewriting
-    // order downstream) matches the serial sweep.
-    struct CandidateTask {
-      bool definitional = false;
-      size_t idx = 0;
-      VariableFactory fresh;
-      std::set<size_t> path;
-      ReformulationStats stats;
-      std::optional<obs::TraceContext> trace;
-      TaskState ts;
-      std::vector<std::unique_ptr<ExpansionNode>> out;
-    };
-    std::vector<std::unique_ptr<CandidateTask>> cands;
-    const size_t n_def = has_rules ? rit->second.size() : 0;
-    const size_t n_view = has_views ? vit->second.size() : 0;
-    cands.reserve(n_def + n_view);
-    exec::TaskGroup group(options_.executor);
-    for (size_t k = 0; k < n_def + n_view; ++k) {
-      auto cand = std::make_unique<CandidateTask>();
-      cand->definitional = k < n_def;
-      cand->idx = cand->definitional ? rit->second[k]
-                                     : vit->second[k - n_def];
-      // "c" marks a candidate-level fork (see the "g" note in BuildScope).
-      std::string prefix = ts->prefix + "c" + std::to_string(k) + "_";
-      cand->fresh = VariableFactory(prefix);
-      cand->path = *ts->path;
-      if (ts->trace != nullptr) cand->trace.emplace(ts->trace->Fork());
-      cand->ts = TaskState{&cand->fresh, &cand->path, &cand->stats,
-                           &cand->stats.deps,
-                           cand->trace ? &*cand->trace : nullptr,
-                           std::move(prefix)};
-      cands.push_back(std::move(cand));
-      CandidateTask* raw = cands.back().get();
-      group.Run([this, &ctx, goal, &siblings, &iface, raw] {
-        if (raw->definitional) {
-          TryDefinitionalCandidate(ctx, goal, rules_.rules[raw->idx],
-                                   &raw->ts, &raw->out);
-        } else {
-          TryInclusionCandidate(ctx, goal, rules_.views[raw->idx], siblings,
-                                iface, &raw->ts, &raw->out);
-        }
-      });
-    }
-    group.Wait();
-    for (const auto& cand : cands) {
-      for (auto& exp : cand->out) {
-        goal->expansions.push_back(std::move(exp));
-      }
-      MergeStatsCounters(ts->stats, cand->stats);
-      ts->deps->MergeFrom(cand->stats.deps);
-      if (ts->trace != nullptr && cand->trace.has_value()) {
-        ts->trace->MergeChild(goal_span.id(), std::move(*cand->trace));
+  }
+  if (has_views) {
+    for (size_t idx : vit->second) {
+      if (!TryInclusionCandidate(ctx, goal, rules_.views[idx], siblings,
+                                 iface)) {
+        return;
       }
     }
   }
@@ -679,31 +540,28 @@ void TreeBuilder::ExpandGoal(const ScopeContext& ctx, GoalNode* goal,
   // without reaching this point, and a build that truncated elsewhere is
   // not trusted either. (An untruncated subtree is budget-independent, so
   // it stays valid under any later max_tree_nodes.)
-  if (memoable && !truncated_.load(std::memory_order_relaxed)) {
+  if (memoable && !truncated_) {
     StoreGoalSubtree(memo_key, ctx, *goal, memo_deps);
   }
 }
 
-bool TreeBuilder::TryDefinitionalCandidate(
-    const ScopeContext& ctx, GoalNode* goal,
-    const ExpansionRules::DefRule& dr, TaskState* ts,
-    std::vector<std::unique_ptr<ExpansionNode>>* out) {
-  obs::ScopedSpan rule_span(ts->trace, "definitional");
+bool TreeBuilder::TryDefinitionalCandidate(GoalNode* goal,
+                                           const ExpansionRules::DefRule& dr) {
+  obs::ScopedSpan rule_span(options_.trace, "definitional");
   rule_span.Set("desc", static_cast<uint64_t>(dr.description_id));
   // Consulted — whatever happens next — so it is part of the footprint.
-  ts->deps->descriptions.insert(dr.description_id);
-  if (!dr.guard_exempt && ts->path->count(dr.description_id) > 0) {
-    ++ts->stats->pruned_guard;
+  deps_->descriptions.insert(dr.description_id);
+  if (!dr.guard_exempt && path_.count(dr.description_id) > 0) {
+    ++stats_->pruned_guard;
     rule_span.Set("pruned", "reuse_guard");
     return true;
   }
-  if (node_count_.load(std::memory_order_relaxed) >=
-      options_.max_tree_nodes) {
-    truncated_.store(true, std::memory_order_relaxed);
+  if (node_count_ >= options_.max_tree_nodes) {
+    truncated_ = true;
     rule_span.Set("pruned", "node_budget");
     return false;
   }
-  Rule renamed = RenameApart(dr.rule, ts->fresh);
+  Rule renamed = RenameApart(dr.rule, &fresh_);
   Substitution theta;
   if (!theta.UnifyAtoms(goal->label, renamed.head())) {
     rule_span.Set("pruned", "unification");
@@ -713,7 +571,7 @@ bool TreeBuilder::TryDefinitionalCandidate(
   // candidate is pruned, so they enter the footprint here rather than via
   // the child-goal recursion.
   for (const Atom& b : renamed.body()) {
-    ts->deps->predicates.insert(b.predicate());
+    deps_->predicates.insert(b.predicate());
   }
 
   auto exp = std::make_unique<ExpansionNode>();
@@ -726,7 +584,7 @@ bool TreeBuilder::TryDefinitionalCandidate(
   exp->label = goal->constraints.Apply(theta);
   exp->label.AddAll(exp->required_constraints);
   if (options_.prune_unsatisfiable && !exp->label.IsSatisfiable()) {
-    ++ts->stats->pruned_unsat;
+    ++stats_->pruned_unsat;
     rule_span.Set("pruned", "unsatisfiable");
     return true;
   }
@@ -744,10 +602,10 @@ bool TreeBuilder::TryDefinitionalCandidate(
     }
     if (dead) {
       if (only_availability) {
-        ++ts->stats->pruned_unavailable;
+        ++stats_->pruned_unavailable;
         rule_span.Set("pruned", "unavailable");
       } else {
-        ++ts->stats->pruned_dead;
+        ++stats_->pruned_dead;
         rule_span.Set("pruned", "dead_end");
       }
       return true;
@@ -761,61 +619,60 @@ bool TreeBuilder::TryDefinitionalCandidate(
     child->index_in_scope = j;
     child->constraints = exp->label.Project(AtomVars(child->label));
     exp->children.push_back(std::move(child));
-    node_count_.fetch_add(1, std::memory_order_relaxed);
-    ++ts->stats->goal_nodes;
+    ++node_count_;
+    ++stats_->goal_nodes;
   }
-  node_count_.fetch_add(1, std::memory_order_relaxed);
-  ++ts->stats->rule_nodes;
-  ++ts->stats->definitional_nodes;
+  ++node_count_;
+  ++stats_->rule_nodes;
+  ++stats_->definitional_nodes;
 
-  bool inserted = ts->path->insert(dr.description_id).second;
-  BuildScope({exp.get(), theta.Apply(goal->label)}, ts);
-  if (inserted) ts->path->erase(dr.description_id);
-  out->push_back(std::move(exp));
+  bool inserted = path_.insert(dr.description_id).second;
+  BuildScope({exp.get(), theta.Apply(goal->label)});
+  if (inserted) path_.erase(dr.description_id);
+  goal->expansions.push_back(std::move(exp));
   return true;
 }
 
-bool TreeBuilder::TryInclusionCandidate(
-    const ScopeContext& ctx, GoalNode* goal, const ExpansionRules::View& vw,
-    const std::vector<Atom>& siblings, const Atom& iface, TaskState* ts,
-    std::vector<std::unique_ptr<ExpansionNode>>* out) {
-  obs::ScopedSpan view_span(ts->trace, "inclusion");
+bool TreeBuilder::TryInclusionCandidate(const ScopeContext& ctx,
+                                        GoalNode* goal,
+                                        const ExpansionRules::View& vw,
+                                        const std::vector<Atom>& siblings,
+                                        const Atom& iface) {
+  obs::ScopedSpan view_span(options_.trace, "inclusion");
   view_span.Set("desc", static_cast<uint64_t>(vw.description_id));
-  ts->deps->descriptions.insert(vw.description_id);
+  deps_->descriptions.insert(vw.description_id);
   // The view head (a stored relation or `_V` predicate) gates this
   // candidate's reachability check, so it belongs in the footprint even if
   // the candidate is pruned before producing a child goal.
-  ts->deps->predicates.insert(vw.view.head().predicate());
-  if (ts->path->count(vw.description_id) > 0) {
-    ++ts->stats->pruned_guard;
+  deps_->predicates.insert(vw.view.head().predicate());
+  if (path_.count(vw.description_id) > 0) {
+    ++stats_->pruned_guard;
     view_span.Set("pruned", "reuse_guard");
     return true;
   }
   if (options_.prune_dead_ends && !Answerable(vw.view.head().predicate())) {
     if (DeadOnlyByAvailability(vw.view.head().predicate())) {
-      ++ts->stats->pruned_unavailable;
+      ++stats_->pruned_unavailable;
       view_span.Set("pruned", "unavailable");
     } else {
-      ++ts->stats->pruned_dead;
+      ++stats_->pruned_dead;
       view_span.Set("pruned", "dead_end");
     }
     return true;
   }
-  if (node_count_.load(std::memory_order_relaxed) >=
-      options_.max_tree_nodes) {
-    truncated_.store(true, std::memory_order_relaxed);
+  if (node_count_ >= options_.max_tree_nodes) {
+    truncated_ = true;
     view_span.Set("pruned", "node_budget");
     return false;
   }
   std::vector<Mcd> mcds = MakeMcds(
-      iface, siblings, goal->index_in_scope, vw.view, ts->fresh,
+      iface, siblings, goal->index_in_scope, vw.view, &fresh_,
       options_.prune_unsatisfiable ? &ctx.scope->label : nullptr);
   view_span.Set("mcds", static_cast<uint64_t>(mcds.size()));
   for (Mcd& mcd : mcds) {
-    obs::ScopedSpan mcd_span(ts->trace, "mcd");
-    if (node_count_.load(std::memory_order_relaxed) >=
-        options_.max_tree_nodes) {
-      truncated_.store(true, std::memory_order_relaxed);
+    obs::ScopedSpan mcd_span(options_.trace, "mcd");
+    if (node_count_ >= options_.max_tree_nodes) {
+      truncated_ = true;
       mcd_span.Set("pruned", "node_budget");
       return false;
     }
@@ -828,11 +685,11 @@ bool TreeBuilder::TryInclusionCandidate(
     exp->label = ctx.scope->label.Apply(mcd.unifier);
     exp->label.AddAll(exp->granted_constraints);
     if (options_.prune_unsatisfiable && !exp->label.IsSatisfiable()) {
-      ++ts->stats->pruned_unsat;
+      ++stats_->pruned_unsat;
       mcd_span.Set("pruned", "unsatisfiable");
       continue;
     }
-    if (ts->trace != nullptr) {
+    if (options_.trace != nullptr) {
       mcd_span.Set("view", mcd.view_atom.predicate());
       std::string unc;
       for (size_t u : exp->unc) {
@@ -848,15 +705,15 @@ bool TreeBuilder::TryInclusionCandidate(
     child->constraints = exp->label.Project(AtomVars(child->label));
     Atom child_interface = child->label;
     exp->children.push_back(std::move(child));
-    node_count_.fetch_add(2, std::memory_order_relaxed);
-    ++ts->stats->goal_nodes;
-    ++ts->stats->rule_nodes;
-    ++ts->stats->inclusion_nodes;
+    node_count_ += 2;
+    ++stats_->goal_nodes;
+    ++stats_->rule_nodes;
+    ++stats_->inclusion_nodes;
 
-    bool inserted = ts->path->insert(vw.description_id).second;
-    BuildScope({exp.get(), child_interface}, ts);
-    if (inserted) ts->path->erase(vw.description_id);
-    out->push_back(std::move(exp));
+    bool inserted = path_.insert(vw.description_id).second;
+    BuildScope({exp.get(), child_interface});
+    if (inserted) path_.erase(vw.description_id);
+    goal->expansions.push_back(std::move(exp));
   }
   return true;
 }
@@ -908,10 +765,9 @@ std::string TreeBuilder::GoalMemoKey(const GoalNode& goal,
 
 bool TreeBuilder::RehydrateGoalSubtree(const GoalSubtree& subtree,
                                        const ScopeContext& ctx,
-                                       GoalNode* goal, TaskState* ts) {
+                                       GoalNode* goal) {
   size_t total = subtree.goal_nodes + subtree.rule_nodes;
-  if (node_count_.load(std::memory_order_relaxed) + total >
-      options_.max_tree_nodes) {
+  if (node_count_ + total > options_.max_tree_nodes) {
     // Rebuilding fresh truncates exactly where a memo-less build would.
     return false;
   }
@@ -933,23 +789,23 @@ bool TreeBuilder::RehydrateGoalSubtree(const GoalSubtree& subtree,
   std::vector<std::string> vars;
   for (const auto& exp : subtree.expansions) CollectExpansionVars(*exp, &vars);
   for (const std::string& v : vars) {
-    if (rename.find(v) == rename.end()) rename[v] = ts->fresh->FreshName();
+    if (rename.find(v) == rename.end()) rename[v] = fresh_.FreshName();
   }
   goal->expansions.reserve(subtree.expansions.size());
   for (const auto& exp : subtree.expansions) {
     goal->expansions.push_back(CloneExpansionVia(*exp, rename));
   }
-  node_count_.fetch_add(total, std::memory_order_relaxed);
-  ts->stats->goal_nodes += subtree.goal_nodes;
-  ts->stats->rule_nodes += subtree.rule_nodes;
-  ts->stats->definitional_nodes += subtree.definitional_nodes;
-  ts->stats->inclusion_nodes += subtree.inclusion_nodes;
-  ++ts->stats->goal_memo_hits;
-  ts->stats->goal_memo_nodes += total;
+  node_count_ += total;
+  stats_->goal_nodes += subtree.goal_nodes;
+  stats_->rule_nodes += subtree.rule_nodes;
+  stats_->definitional_nodes += subtree.definitional_nodes;
+  stats_->inclusion_nodes += subtree.inclusion_nodes;
+  ++stats_->goal_memo_hits;
+  stats_->goal_memo_nodes += total;
   // A rehydrated subtree depends on everything its template build
   // consulted — including candidates that were pruned and so left no
   // structural mark in the cloned expansions.
-  ts->deps->MergeFrom(subtree.deps);
+  deps_->MergeFrom(subtree.deps);
   return true;
 }
 

@@ -1,7 +1,6 @@
 #ifndef PDMS_CORE_RULE_GOAL_TREE_H_
 #define PDMS_CORE_RULE_GOAL_TREE_H_
 
-#include <atomic>
 #include <functional>
 #include <memory>
 #include <set>
@@ -37,16 +36,6 @@ struct ReformulationOptions {
   /// come first (the paper's priority scheme); makes the first rewritings
   /// arrive early in the depth-first enumeration.
   bool order_expansions = true;
-  /// Memoize per-expansion solution lists during enumeration (dynamic
-  /// programming). Avoids re-enumerating right siblings per left partial,
-  /// which pays off when all rewritings of a modest tree are wanted — but
-  /// materializes every sub-solution, which is exponential in the worst
-  /// case (bounded by max_memo_partials). The default streaming mode has
-  /// no materialization cost and reaches the first rewritings fastest.
-  bool memoize_solutions = false;
-  /// Cap on materialized partial solutions in memoized mode; exceeding it
-  /// marks the enumeration truncated.
-  size_t max_memo_partials = 1u << 20;
   /// Minimize emitted rewritings and drop ones contained in others.
   bool remove_redundant = false;
 
@@ -93,17 +82,12 @@ struct ReformulationOptions {
   obs::MetricsRegistry* metrics = nullptr;
 
   /// Parallelism (docs/parallel_execution.md). `threads` is the requested
-  /// worker count for query answering; 1 (the default) keeps every code
-  /// path serial and bit-for-bit identical to a build without an executor.
-  /// `executor` is the shared work-stealing pool (borrowed, nullable) —
-  /// the Pdms facade owns one and sets it here when threads > 1; builders
-  /// given a null executor run serially whatever `threads` says. Parallel
-  /// builds are deterministic across runs and thread counts (sibling goals
-  /// and rule candidates become tasks with task-local state, merged in
-  /// child-index order), but use per-task variable-name prefixes, so
-  /// variable names — never answers, prune counts, rewriting order, or
-  /// span structure — differ from a serial build's. Not part of the memo
-  /// fingerprint for exactly that reason.
+  /// worker count for evaluation; 1 (the default) keeps every code path
+  /// serial. `executor` is the shared work-stealing pool (borrowed,
+  /// nullable) — the Pdms facade owns one and sets it here when
+  /// threads > 1. Only evaluation fans out over it (disjuncts of the
+  /// union, partitioned join probes); reformulation is serial whatever
+  /// `threads` says, so the rewritings are verbatim those of a serial run.
   size_t threads = 1;
   exec::ThreadPool* executor = nullptr;
 
@@ -194,9 +178,7 @@ struct ReformulationStats {
   /// counts above).
   size_t goal_memo_hits = 0;
   size_t goal_memo_nodes = 0;
-  /// The build's dependency footprint (filled by the TreeBuilder; parallel
-  /// tasks merge their private footprints in at join, so the set is
-  /// schedule-independent).
+  /// The build's dependency footprint (filled by the TreeBuilder).
   DepSet deps;
   bool tree_truncated = false;  // node budget hit
   bool enumeration_truncated = false;  // rewriting/time budget hit
@@ -254,10 +236,10 @@ class GoalMemoHook {
   /// Declares the scope of the next Find/Store calls; returns the number
   /// of entries invalidated by the scope change.
   virtual size_t EnterScope(const CacheScope& scope) = 0;
-  /// The stored subtree for `key`, or null. Shared ownership: parallel
-  /// builders on different threads may hold a subtree while a concurrent
-  /// store evicts its entry, so a raw "valid until the next call" pointer
-  /// would be unsound.
+  /// The stored subtree for `key`, or null. Shared ownership: builders on
+  /// different threads (serving facades sharing one memo) may hold a
+  /// subtree while a concurrent store evicts its entry, so a raw "valid
+  /// until the next call" pointer would be unsound.
   virtual std::shared_ptr<const GoalSubtree> Find(const std::string& key) = 0;
   virtual void Store(const std::string& key, GoalSubtree subtree) = 0;
 };
@@ -360,45 +342,19 @@ class TreeBuilder {
     Atom interface;  // head atom of this scope (distinguished variables)
   };
 
-  /// Everything one build task mutates. The serial build threads a single
-  /// TaskState through the whole recursion (so its behavior is the
-  /// unchanged depth-first walk); a parallel build gives every fork unit —
-  /// each sibling goal, each rule/view candidate — its own TaskState with
-  /// a path-prefixed variable factory, a copy of the guard path, private
-  /// stats, and a forked trace context, all merged back in child-index
-  /// order after the join. Task-local state regardless of where the task
-  /// ran is what makes the result independent of scheduling.
-  struct TaskState {
-    VariableFactory* fresh;
-    std::set<size_t>* path;
-    ReformulationStats* stats;
-    /// Dependency recorder. Usually &stats->deps, but while a memoable
-    /// goal expands it points at a local set so the subtree's footprint
-    /// can be captured for the memo entry (then merged into the parent) —
-    /// which is why joins merge deps explicitly rather than through
-    /// MergeStatsCounters.
-    DepSet* deps;
-    obs::TraceContext* trace;  // may be null (tracing disabled)
-    std::string prefix;        // the prefix `fresh` draws names from
-  };
-
-  void BuildScope(const ScopeContext& ctx, TaskState* ts);
-  void ExpandGoal(const ScopeContext& ctx, GoalNode* goal, TaskState* ts);
+  void BuildScope(const ScopeContext& ctx);
+  void ExpandGoal(const ScopeContext& ctx, GoalNode* goal);
   /// One definitional rule candidate: guard/budget/unification/prune
   /// checks, child goals, recursive BuildScope. Appends the surviving
-  /// expansion to `*out`. Returns false when the node budget halted the
-  /// expansion (the serial caller then abandons the goal, like the
-  /// original single-loop code did).
-  bool TryDefinitionalCandidate(const ScopeContext& ctx, GoalNode* goal,
-                                const ExpansionRules::DefRule& dr,
-                                TaskState* ts,
-                                std::vector<std::unique_ptr<ExpansionNode>>* out);
+  /// expansion to the goal's expansions. Returns false when the node
+  /// budget halted the expansion (the caller then abandons the goal).
+  bool TryDefinitionalCandidate(GoalNode* goal,
+                                const ExpansionRules::DefRule& dr);
   /// One inclusion view candidate (all of its MCDs). Same contract.
   bool TryInclusionCandidate(const ScopeContext& ctx, GoalNode* goal,
                              const ExpansionRules::View& vw,
                              const std::vector<Atom>& siblings,
-                             const Atom& iface, TaskState* ts,
-                             std::vector<std::unique_ptr<ExpansionNode>>* out);
+                             const Atom& iface);
   bool Answerable(const std::string& predicate) const;
   // True if `predicate` would be answerable were every source available —
   // i.e. its deadness is caused by unavailability, not by the topology.
@@ -421,27 +377,26 @@ class TreeBuilder {
   // if the node budget cannot absorb the subtree (the caller then expands
   // normally, truncating exactly as a memo-less build would).
   bool RehydrateGoalSubtree(const GoalSubtree& subtree,
-                            const ScopeContext& ctx, GoalNode* goal,
-                            TaskState* ts);
+                            const ScopeContext& ctx, GoalNode* goal);
   void StoreGoalSubtree(const std::string& key, const ScopeContext& ctx,
                         const GoalNode& goal, const DepSet& deps);
   void ComputeReachability();
   void FillReachability(bool ignore_unavailable,
                         std::map<std::string, size_t>* out);
   void MarkViability(ExpansionNode* scope);
-  /// True when sibling goals / candidates should fork as pool tasks.
-  bool Parallel() const;
 
   const ExpansionRules& rules_;
   ReformulationOptions options_;
   VariableFactory fresh_{"_t"};
-  // The tree budget is global across build tasks: a relaxed atomic counter
-  // (exact totals matter, per-increment ordering does not). In a parallel
-  // build the exact point where the budget binds can differ from a serial
-  // build's — truncated trees are never cached or memoized, so this never
-  // leaks across queries.
-  std::atomic<size_t> node_count_{0};
-  std::atomic<bool> truncated_{false};
+  // Per-build state of the depth-first walk.
+  size_t node_count_ = 0;
+  bool truncated_ = false;
+  std::set<size_t> path_;  // description-reuse guard along the current path
+  ReformulationStats* stats_ = nullptr;
+  // Dependency recorder. Usually &stats_->deps, but while a memoable goal
+  // expands it points at a local set so the subtree's footprint can be
+  // captured for the memo entry (then merged into the enclosing recorder).
+  DepSet* deps_ = nullptr;
   // predicate -> minimal #expansion-levels to reach stored relations;
   // absent = unanswerable.
   std::map<std::string, size_t> reach_depth_;

@@ -108,7 +108,7 @@ Result<DegradedEvalResult> Engine::EvaluateUnionDegraded(
       continue;
     }
     const DisjunctPlan& dp = plan->disjuncts[index];
-    if (!dp.delegate_legacy && !dp.steps.empty()) {
+    if (!dp.steps.empty()) {
       cq_span.Set("est", dp.steps.back().est_out);
     }
     obs::ScopedSpan join_span(trace, "join");
@@ -122,7 +122,6 @@ Result<DegradedEvalResult> Engine::EvaluateUnionDegraded(
   // disjunct fan-out safe.
   for (const PendingExec& p : pending) {
     const DisjunctPlan& dp = plan->disjuncts[p.disjunct];
-    if (dp.delegate_legacy) continue;
     for (const PlannedStep& step : dp.steps) {
       if (!step.build_on_atom || step.key_cols.empty()) continue;
       if (catalog_.FindJoinTable(step.scan.relation, step.scan.signature) !=
@@ -145,16 +144,6 @@ Result<DegradedEvalResult> Engine::EvaluateUnionDegraded(
       pending.size());
   exec::ParallelFor(pool, pending.size(), [&](size_t k) {
     const DisjunctPlan& dp = plan->disjuncts[pending[k].disjunct];
-    const ConjunctiveQuery& cq = uq.disjuncts()[pending[k].disjunct];
-    if (dp.delegate_legacy) {
-      Result<Relation> r = EvaluateCQ(cq, db);
-      if (!r.ok()) {
-        shards[k].emplace(r.status());
-      } else {
-        shards[k].emplace(r->TakeTuples());
-      }
-      return;
-    }
     shards[k].emplace(ExecuteDisjunct(dp, db, catalog_, pool, nullptr));
   });
 
@@ -193,10 +182,6 @@ Result<std::vector<Tuple>> Engine::EvaluateDisjunct(const ConjunctiveQuery& cq,
   }
   PDMS_ASSIGN_OR_RETURN(DisjunctPlan dp,
                         PlanDisjunct(cq, db, catalog_, net_cost_));
-  if (dp.delegate_legacy) {
-    PDMS_ASSIGN_OR_RETURN(Relation part, EvaluateCQ(cq, db));
-    return part.TakeTuples();
-  }
   return ExecuteDisjunct(dp, db, catalog_, nullptr, nullptr);
 }
 
@@ -214,16 +199,9 @@ Result<std::string> Engine::Explain(const UnionQuery& uq, const Database& db) {
     PDMS_ASSIGN_OR_RETURN(DisjunctPlan dp,
                           PlanDisjunct(cq, db, catalog_, net_cost_));
     StepActuals actuals;
-    if (dp.delegate_legacy) {
-      PDMS_ASSIGN_OR_RETURN(Relation part, EvaluateCQ(cq, db));
-      actuals.push_back(part.size());
-      total += part.size();
-    } else {
-      PDMS_ASSIGN_OR_RETURN(
-          std::vector<Tuple> tuples,
-          ExecuteDisjunct(dp, db, catalog_, nullptr, &actuals));
-      total += tuples.size();
-    }
+    PDMS_ASSIGN_OR_RETURN(std::vector<Tuple> tuples,
+                          ExecuteDisjunct(dp, db, catalog_, nullptr, &actuals));
+    total += tuples.size();
     out += RenderDisjunctPlan(dp, cq, index, &actuals);
     ++index;
   }

@@ -87,10 +87,6 @@ Result<DisjunctPlan> PlanDisjunct(const ConjunctiveQuery& cq,
                                   const NetCostFn& net_cost) {
   PDMS_RETURN_IF_ERROR(cq.CheckSafe());
   DisjunctPlan plan;
-  if (cq.body().empty()) {
-    plan.delegate_legacy = true;
-    return plan;
-  }
 
   // Slot assignment mirrors the legacy SlotProgram: first appearance across
   // the body atoms, then the comparisons, so slot names line up between the
@@ -317,10 +313,6 @@ std::string RenderDisjunctPlan(const DisjunctPlan& plan,
   std::string out = StrFormat("disjunct %zu: ", index);
   out += cq.ToString();
   out += "\n";
-  if (plan.delegate_legacy) {
-    out += "  constant body (legacy evaluation)\n";
-    return out;
-  }
   auto actual = [&](size_t i) -> std::string {
     if (actual_rows == nullptr || i >= actual_rows->size()) return "";
     return StrFormat(" actual=%zu", (*actual_rows)[i]);

@@ -80,9 +80,6 @@ struct PlannedStep {
 
 /// The physical plan of one disjunct.
 struct DisjunctPlan {
-  /// Empty-body disjuncts keep the legacy evaluation (a single empty
-  /// match gated by ground comparisons); nothing to vectorize.
-  bool delegate_legacy = false;
   size_t num_slots = 0;
   std::vector<std::string> slot_names;  // per slot, first-appearance order
   std::vector<PlanComparison> comparisons;

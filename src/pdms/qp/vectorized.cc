@@ -216,7 +216,6 @@ Result<std::vector<Tuple>> ExecuteDisjunct(const DisjunctPlan& plan,
                                            const ColumnarCatalog& catalog,
                                            exec::ThreadPool* pool,
                                            StepActuals* actuals) {
-  PDMS_CHECK_MSG(!plan.delegate_legacy, "legacy disjunct reached qp executor");
   std::vector<Tuple> out;
   auto bail = [&]() -> std::vector<Tuple> {
     // Record zero cardinality for the remaining steps so explain output
@@ -231,7 +230,11 @@ Result<std::vector<Tuple>> ExecuteDisjunct(const DisjunctPlan& plan,
     if (!EvalCmp(c.op, c.lhs.value, c.rhs.value)) return bail();
   }
 
+  // Execution starts from the unit intermediate — one row, no columns —
+  // so an empty (ground) body projects exactly one row; the first scan
+  // replaces it.
   Intermediate in;
+  in.rows = 1;
   in.slot_cols.assign(plan.num_slots, {});
   in.bound.assign(plan.num_slots, 0);
   for (size_t si = 0; si < plan.steps.size(); ++si) {

@@ -97,18 +97,16 @@ TEST_P(OptimizationEquivalenceTest, SameRewritingsAllConfigurations) {
   baseline.prune_unsatisfiable = false;
   baseline.prune_dead_ends = false;
   baseline.order_expansions = false;
-  baseline.memoize_solutions = false;
   Reformulator base_ref(w->network, baseline);
   auto base = base_ref.Reformulate(w->query);
   ASSERT_TRUE(base.ok());
   std::set<std::string> base_keys = RewritingKeys(base->rewriting);
 
-  for (int mask = 1; mask < 16; ++mask) {
+  for (int mask = 1; mask < 8; ++mask) {
     ReformulationOptions opts;
     opts.prune_unsatisfiable = mask & 1;
     opts.prune_dead_ends = mask & 2;
     opts.order_expansions = mask & 4;
-    opts.memoize_solutions = mask & 8;
     Reformulator reformulator(w->network, opts);
     auto result = reformulator.Reformulate(w->query);
     ASSERT_TRUE(result.ok());

@@ -1,10 +1,10 @@
 // Parallel-vs-serial equivalence: the `threads` knob must never change
-// what a query returns — answers, degradation reports, reformulation
-// counters, and the time-stripped explain tree all have to match the
-// single-threaded facade byte for byte, on workloads big enough that the
-// pool actually forks (docs/parallel_execution.md). Two parallel runs at
-// different thread counts must match each other *exactly*, variable names
-// included, because task identity (not scheduling) decides every name.
+// what a query returns. Reformulation is serial whatever the thread
+// count — only evaluation fans out over the pool — so answers,
+// degradation reports, reformulation counters, the time-stripped explain
+// tree, and the rewritings themselves (variable names included) all have
+// to match the single-threaded facade byte for byte, on workloads big
+// enough that the pool actually runs work (docs/parallel_execution.md).
 
 #include <cstddef>
 #include <string>
@@ -110,13 +110,12 @@ TEST(ParallelEquivalence, MatchesSerialAcrossSeedsAndThreadCounts) {
       SCOPED_TRACE("seed " + std::to_string(seed) + " threads " +
                    std::to_string(threads));
       Outcome parallel = RunOne(workload, threads);
-      // Same answers, same report, same rewriting order (canonically),
-      // same span structure. Variable *names* may differ from the serial
-      // run (forked tasks draw from their own factories), which is why
-      // the rewriting comparison is canonical here.
+      // Same answers, same report, same rewritings in the same order
+      // with the same variable names, same span structure.
       EXPECT_EQ(parallel.answers, serial.answers);
       EXPECT_EQ(parallel.report, serial.report);
       EXPECT_EQ(parallel.canonical_disjuncts, serial.canonical_disjuncts);
+      EXPECT_EQ(parallel.rewriting_text, serial.rewriting_text);
       EXPECT_EQ(parallel.explain, serial.explain);
       ExpectCountersEqual(parallel.stats, serial.stats);
     }
@@ -145,6 +144,42 @@ TEST(ParallelEquivalence, RepeatedParallelRunsAreDeterministic) {
     EXPECT_EQ(again.rewriting_text, first.rewriting_text);
     EXPECT_EQ(again.answers, first.answers);
     EXPECT_EQ(again.explain, first.explain);
+  }
+}
+
+TEST(ParallelEquivalence, DeepTreeAtHighThreadCountsMatchesSerial) {
+  // A 95,136-node rule-goal tree (96 peers, diameter 6, 25% definitional
+  // mappings). A tree build forked per goal and per candidate runs stolen
+  // build tasks nested on the waiting thread's stack and overflows the
+  // default 8 MiB stack here at 3+ threads; the build must stay serial.
+  // The rewriting cap keeps step 3 short.
+  gen::WorkloadConfig config;
+  config.num_peers = 96;
+  config.num_strata = 6;
+  config.definitional_fraction = 0.25;
+  config.providers_per_relation = 2;
+  config.seed = 1;
+  auto workload = gen::GenerateWorkload(config);
+  ASSERT_TRUE(workload.ok()) << workload.status().ToString();
+
+  auto reformulate = [&](size_t threads) {
+    ReformulationOptions options;
+    options.threads = threads;
+    options.max_rewritings = 20;
+    Pdms pdms(options);
+    *pdms.mutable_network() = workload->network;
+    auto ref = pdms.Reformulate(workload->query);
+    EXPECT_TRUE(ref.ok()) << ref.status().ToString();
+    return ref.ok() ? std::move(*ref) : ReformulationResult{};
+  };
+  ReformulationResult serial = reformulate(1);
+  EXPECT_EQ(serial.stats.total_nodes(), 95136u);
+  EXPECT_EQ(serial.stats.rewritings, 20u);
+  for (size_t threads : {size_t{4}, size_t{8}}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    ReformulationResult parallel = reformulate(threads);
+    EXPECT_EQ(parallel.rewriting.ToString(), serial.rewriting.ToString());
+    ExpectCountersEqual(parallel.stats, serial.stats);
   }
 }
 

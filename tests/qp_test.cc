@@ -267,7 +267,6 @@ TEST(Planner, ChainJoinStartsFromTheSmallerRelationAndKeysCorrectly) {
 
   auto plan = PlanDisjunct(Q("q(y, z) :- edge(y, z), small(y)."), db, catalog);
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  EXPECT_FALSE(plan->delegate_legacy);
   ASSERT_EQ(plan->steps.size(), 2u);
   EXPECT_EQ(plan->steps[0].scan.relation, "small");
   EXPECT_EQ(plan->steps[1].scan.relation, "edge");
@@ -287,13 +286,25 @@ TEST(Planner, ConstantsBecomePushedFiltersAndShrinkEstimates) {
   EXPECT_LT(plan->steps[0].scan.est_rows, 4.0);
 }
 
-TEST(Planner, EmptyBodyDelegatesToLegacyAndUnsafeIsRejected) {
+TEST(Planner, GroundDisjunctMatchesLegacyAndUnsafeIsRejected) {
+  // An empty body executes from the unit intermediate: one row when its
+  // ground comparisons hold, none when they fail — the legacy answer.
   Database db;
+  for (bool holds : {true, false}) {
+    SCOPED_TRACE(holds ? "true comparison" : "false comparison");
+    Comparison cmp{Term::Constant(Value::Int(1)), CmpOp::kLt,
+                   Term::Constant(Value::Int(holds ? 2 : 0))};
+    ConjunctiveQuery ground(Atom("q", {Term::Constant(Value::Int(1))}), {},
+                            {cmp});
+    auto want = EvaluateCQ(ground, db);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    EXPECT_EQ(want->size(), holds ? 1u : 0u);
+    Engine engine;
+    auto got = engine.EvaluateDisjunct(ground, db);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(*got, want->tuples());
+  }
   ColumnarCatalog catalog;
-  ConjunctiveQuery ground(Atom("q", {Term::Constant(Value::Int(1))}), {});
-  auto empty = PlanDisjunct(ground, db, catalog);
-  ASSERT_TRUE(empty.ok()) << empty.status().ToString();
-  EXPECT_TRUE(empty->delegate_legacy);
   EXPECT_FALSE(PlanDisjunct(Q("q(w) :- edge(x, y)."), db, catalog).ok());
 }
 

@@ -253,9 +253,7 @@ TEST(Reformulator, StreamingStopsEarly) {
     stored sp2(x) <= B:P2(x).
     stored sp3(x) <= B:P3(x).
   )").ok());
-  ReformulationOptions opts;
-  opts.memoize_solutions = false;  // streaming mode
-  Reformulator reformulator(pdms.network(), opts);
+  Reformulator reformulator(pdms.network());
   auto query = pdms.ParseQuery("q(x) :- A:P(x).");
   ASSERT_TRUE(query.ok());
   size_t seen = 0;

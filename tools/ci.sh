@@ -14,9 +14,12 @@
 #      counter must advance and answers must match a never-cached
 #      instance (docs/plan_cache.md).
 #   6. ThreadSanitizer gate over the parallel executor: the exec
-#      primitives and the parallel-vs-serial equivalence suite (which
-#      exercises concurrent serving over shared caches) under TSan
-#      (docs/parallel_execution.md).
+#      primitives and the parallel-vs-serial equivalence suite under
+#      TSan. The suite checks that parallel evaluation returns the serial
+#      run verbatim (rewritings with their variable names, answers,
+#      reports, counters) at 2, 4 and 8 threads, including a
+#      95,136-node rule-goal tree, and exercises concurrent serving over
+#      shared caches (docs/parallel_execution.md).
 #   7. churn gate: a 32-seed churn-DST smoke (cached and uncached twins
 #      byte-compared under live catalog churn) plus the dependency-
 #      tracked invalidation and peer-health suites, all under TSan,
@@ -48,8 +51,8 @@
 #      (docs/query_planning.md).
 #  11. network-cost gate: the topology/link-map/network-model suite and a
 #      reduced-seed cost-aware-vs-cost-blind equivalence sweep under
-#      asan+ubsan and under TSan (the thread-invariance case drives the
-#      cost-aware reformulator over a real worker pool), plus a
+#      asan+ubsan and under TSan (the thread-invariance case runs the
+#      cost-aware SimPdms's evaluation over a real worker pool), plus a
 #      topology_latency bench smoke whose byte-identity check must pass
 #      (docs/network_cost_model.md). The full 200-seed sweep is the
 #      binary's default outside CI.
@@ -261,8 +264,8 @@ echo "== [11/11] network-cost gate: asan + tsan suites, topology bench smoke =="
 # explicitly, at a CI-sized seed count, as the named gate).
 "${ASAN_BUILD_DIR}/tests/topology_cost_test"
 PDMS_EQ_SEEDS=32 "${ASAN_BUILD_DIR}/tests/cost_equivalence_test"
-# Under TSan: the thread-invariance case runs the cost-aware reformulator
-# over a 2-worker pool against the serial twin.
+# Under TSan: the thread-invariance case runs the cost-aware SimPdms's
+# evaluation over a 2-worker pool against the serial twin.
 cmake --build "${TSAN_BUILD_DIR}" -j "${JOBS}" \
   --target topology_cost_test cost_equivalence_test
 TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
