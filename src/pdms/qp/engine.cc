@@ -1,6 +1,6 @@
 #include "pdms/qp/engine.h"
 
-#include <optional>
+#include <algorithm>
 #include <set>
 #include <utility>
 
@@ -19,25 +19,29 @@ Result<std::shared_ptr<const UnionPlan>> Engine::PlanOrReuse(
 
   // Refresh the columnar twins (and with them the statistics) of every
   // relation the union scans, so both the fingerprint check and a fresh
-  // plan see current cardinalities.
-  std::set<std::string> seen;
-  for (const ConjunctiveQuery& cq : uq.disjuncts()) {
-    for (const Atom& a : cq.body()) {
-      if (!seen.insert(a.predicate()).second) continue;
-      const Relation* rel = db.Find(a.predicate());
-      if (rel != nullptr) catalog_.Ensure(*rel, metrics);
-    }
-  }
-
-  if (slot != nullptr) {
-    std::shared_ptr<const PhysicalPlanHandle> cached = slot->Get();
-    const auto* plan = dynamic_cast<const UnionPlan*>(cached.get());
-    if (plan != nullptr && plan->disjuncts.size() == uq.size() &&
-        plan->stats_fingerprint ==
-            catalog_.StatsFingerprint(plan->relations)) {
+  // plan see current cardinalities. A cached plan lists them already.
+  auto ensure = [&](const std::string& relation) {
+    const Relation* rel = db.Find(relation);
+    if (rel != nullptr) catalog_.Ensure(*rel, metrics);
+  };
+  std::shared_ptr<const PhysicalPlanHandle> cached;
+  if (slot != nullptr) cached = slot->Get();
+  const auto* plan = dynamic_cast<const UnionPlan*>(cached.get());
+  if (plan != nullptr && plan->disjuncts.size() == uq.size()) {
+    for (const std::string& relation : plan->relations) ensure(relation);
+    if (plan->stats_fingerprint ==
+        catalog_.StatsFingerprint(plan->relations)) {
       plan_span.Set("cached", true);
+      plan_span.Set("nodes", static_cast<uint64_t>(plan->nodes.size() - 1));
       if (metrics != nullptr) metrics->Add("qp.plan_reused", 1);
       return std::shared_ptr<const UnionPlan>(std::move(cached), plan);
+    }
+  } else {
+    std::set<std::string> seen;
+    for (const ConjunctiveQuery& cq : uq.disjuncts()) {
+      for (const Atom& a : cq.body()) {
+        if (seen.insert(a.predicate()).second) ensure(a.predicate());
+      }
     }
   }
 
@@ -46,6 +50,7 @@ Result<std::shared_ptr<const UnionPlan>> Engine::PlanOrReuse(
   auto owned = std::make_shared<const UnionPlan>(std::move(fresh));
   if (slot != nullptr) slot->Set(owned);
   plan_span.Set("cached", false);
+  plan_span.Set("nodes", static_cast<uint64_t>(owned->nodes.size() - 1));
   if (metrics != nullptr) metrics->Add("qp.plans", 1);
   return owned;
 }
@@ -77,6 +82,8 @@ Result<DegradedEvalResult> Engine::EvaluateUnionDegraded(
     obs::SpanId join_span;
   };
   std::vector<PendingExec> pending;
+  // Per disjunct: survived gating and its constant comparisons hold.
+  std::vector<char> run(uq.size(), 0);
   size_t index = 0;
   for (const ConjunctiveQuery& cq : uq.disjuncts()) {
     if (cq.head().arity() != out.answers.arity()) {
@@ -84,18 +91,19 @@ Result<DegradedEvalResult> Engine::EvaluateUnionDegraded(
           StrFormat("union disjuncts disagree on arity (%zu vs %zu)",
                     out.answers.arity(), cq.head().arity()));
     }
+    const DisjunctLeaf& leaf = plan->disjuncts[index];
     obs::ScopedSpan cq_span(trace, "eval_cq");
     cq_span.Set("disjunct", static_cast<uint64_t>(index));
     cq_span.Set("atoms", static_cast<uint64_t>(cq.body().size()));
     bool skipped = false;
     if (gate) {
-      std::set<std::string> seen;
-      for (const Atom& a : cq.body()) {
-        if (!seen.insert(a.predicate()).second) continue;
-        Status s = gate(a.predicate());
+      // The leaf lists the distinct relations in body order.
+      for (uint32_t r : leaf.relations) {
+        const std::string& relation = plan->relations[r];
+        Status s = gate(relation);
         if (s.ok()) continue;
         if (s.code() != StatusCode::kUnavailable) return s;
-        unavailable.insert(a.predicate());
+        unavailable.insert(relation);
         skipped = true;
         // Keep gating the remaining relations: each probe is recorded in
         // the access stats, and later disjuncts reuse the cached verdicts.
@@ -107,61 +115,73 @@ Result<DegradedEvalResult> Engine::EvaluateUnionDegraded(
       ++index;
       continue;
     }
-    const DisjunctPlan& dp = plan->disjuncts[index];
-    if (!dp.steps.empty()) {
-      cq_span.Set("est", dp.steps.back().est_out);
-    }
+    if (leaf.node != 0) cq_span.Set("est", leaf.est);
     obs::ScopedSpan join_span(trace, "join");
     pending.push_back({index, cq_span.id(), join_span.id()});
+    run[index] = leaf.const_ok ? 1 : 0;
     ++index;
   }
 
   // Prepare phase (serial; the only catalog mutation after planning):
-  // build the cacheable scan-side hash tables the surviving plans need.
-  // Execution below then only reads the catalog, which is what makes the
-  // disjunct fan-out safe.
-  for (const PendingExec& p : pending) {
-    const DisjunctPlan& dp = plan->disjuncts[p.disjunct];
-    for (const PlannedStep& step : dp.steps) {
-      if (!step.build_on_atom || step.key_cols.empty()) continue;
-      if (catalog_.FindJoinTable(step.scan.relation, step.scan.signature) !=
-          nullptr) {
-        continue;
-      }
-      const ColumnarRelation* data = catalog_.Find(step.scan.relation);
-      if (data == nullptr) continue;  // relation absent: scan yields nothing
-      catalog_.StoreJoinTable(
-          step.scan.relation, step.scan.signature,
-          BuildJoinTable(step.scan, step.key_cols, *data, catalog_));
-      if (metrics != nullptr) metrics->Add("qp.join_tables_built", 1);
+  // build the cacheable scan-side hash tables that the trie nodes on the
+  // surviving paths need, walking the plan's distinct (relation,
+  // signature) list once. Execution below then only reads the catalog,
+  // which is what makes the subtree fan-out safe.
+  const std::vector<char> paths = MarkPaths(*plan, run);
+  // Per join table: 0 unused, 1 read if cached (a probe-side scan), 2
+  // built over the scan side.
+  std::vector<char> needed(plan->join_tables.size(), 0);
+  for (size_t n = 1; n < plan->nodes.size(); ++n) {
+    const PlanNode& node = plan->nodes[n];
+    if (!paths[n] || node.join_table < 0) continue;
+    char& use = needed[node.join_table];
+    use = std::max<char>(use, node.step.build_on_atom ? 2 : 1);
+  }
+  for (size_t t = 0; t < plan->join_tables.size(); ++t) {
+    if (needed[t] != 2) continue;
+    const PlannedStep& step = plan->nodes[plan->join_tables[t]].step;
+    const std::string& relation = step.scan.relation;
+    if (catalog_.FindJoinTable(relation, step.scan.signature) != nullptr) {
+      continue;
     }
+    const ColumnarRelation* data = catalog_.Find(relation);
+    if (data == nullptr) continue;  // relation absent: scan yields nothing
+    catalog_.StoreJoinTable(
+        relation, step.scan.signature,
+        BuildJoinTable(step.scan, step.key_cols, *data, catalog_));
+    if (metrics != nullptr) metrics->Add("qp.join_tables_built", 1);
+  }
+  // Resolved after every store: the per-relation cap may have dropped a
+  // table stored earlier in the loop.
+  std::vector<const JoinTable*> tables(plan->join_tables.size(), nullptr);
+  for (size_t t = 0; t < plan->join_tables.size(); ++t) {
+    if (!needed[t]) continue;
+    const PlannedStep& step = plan->nodes[plan->join_tables[t]].step;
+    tables[t] = catalog_.FindJoinTable(step.scan.relation, step.scan.signature);
   }
 
-  // Execute the surviving disjuncts — ParallelFor falls back to a serial
-  // in-order loop without a pool, and shard merging below is in disjunct
-  // order either way, so answers cannot depend on the thread count.
-  std::vector<std::optional<Result<std::vector<Tuple>>>> shards(
-      pending.size());
-  exec::ParallelFor(pool, pending.size(), [&](size_t k) {
-    const DisjunctPlan& dp = plan->disjuncts[pending[k].disjunct];
-    shards[k].emplace(ExecuteDisjunct(dp, db, catalog_, pool, nullptr));
-  });
+  // Execute the trie over the surviving paths. Each disjunct's shard holds
+  // what it would have produced alone, and shards merge below in disjunct
+  // order, so answers cannot depend on the thread count.
+  std::vector<std::vector<Tuple>> shards(uq.size());
+  const size_t steps =
+      ExecuteUnion(*plan, run, paths, tables, db, catalog_, pool, &shards);
 
-  for (size_t k = 0; k < pending.size(); ++k) {
-    Result<std::vector<Tuple>>& shard = *shards[k];
-    if (!shard.ok()) return shard.status();
+  for (const PendingExec& p : pending) {
+    std::vector<Tuple>& shard = shards[p.disjunct];
     if (trace != nullptr) {
-      uint64_t n = static_cast<uint64_t>(shard->size());
-      trace->SetAttribute(pending[k].join_span, "answers", n);
-      trace->SetAttribute(pending[k].cq_span, "answers", n);
+      uint64_t n = static_cast<uint64_t>(shard.size());
+      trace->SetAttribute(p.join_span, "answers", n);
+      trace->SetAttribute(p.cq_span, "answers", n);
     }
-    for (Tuple& t : *shard) out.answers.Insert(std::move(t));
+    for (Tuple& t : shard) out.answers.Insert(std::move(t));
   }
 
   // Canonical answer order: byte-identical output across engines, thread
   // counts, and cache states (docs/query_planning.md, determinism rules).
   out.answers.SortCanonical();
   exec_span.Set("answers", static_cast<uint64_t>(out.answers.size()));
+  exec_span.Set("steps", static_cast<uint64_t>(steps));
   exec_span.End();
 
   out.unavailable_relations.assign(unavailable.begin(), unavailable.end());
@@ -170,6 +190,7 @@ Result<DegradedEvalResult> Engine::EvaluateUnionDegraded(
     metrics->Add("eval.disjuncts_skipped", out.disjuncts_skipped);
     metrics->Add("eval.answers", out.answers.size());
     metrics->Add("qp.exec_disjuncts", pending.size());
+    metrics->Add("qp.exec_steps", steps);
   }
   return out;
 }

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "pdms/data/database.h"
@@ -66,9 +67,9 @@ struct PlannedStep {
   /// intermediate, the scan probes (chosen when the intermediate is
   /// estimated smaller).
   bool build_on_atom = true;
-  /// Comparisons (indices into DisjunctPlan::comparisons) whose variables
-  /// are all bound once this step completes; applied as a filter here.
-  std::vector<size_t> comparisons;
+  /// Comparisons whose variables are all bound once this step completes,
+  /// in query order; applied as a filter here.
+  std::vector<PlanComparison> comparisons;
   /// Per slot: whether this step's output intermediate must carry the
   /// slot's column (it is read by this step's comparisons, a later join
   /// key, a later comparison, or the head projection). Gathers skip dead
@@ -79,28 +80,103 @@ struct PlannedStep {
 };
 
 /// The physical plan of one disjunct.
+///
+/// Slots are canonical: they are numbered in first-binding order along the
+/// planned steps, so step k's binds take the next free ids. Two plans whose
+/// steps agree on a prefix therefore agree on every slot that prefix binds,
+/// which is what lets UnionPlan share the prefix.
 struct DisjunctPlan {
   size_t num_slots = 0;
-  std::vector<std::string> slot_names;  // per slot, first-appearance order
-  std::vector<PlanComparison> comparisons;
+  std::vector<std::string> slot_names;  // per slot
   /// Comparisons with no variables at all, checked once before execution.
-  std::vector<size_t> const_comparisons;
+  std::vector<PlanComparison> const_comparisons;
   std::vector<PlannedStep> steps;
   std::vector<PlanTerm> head;
-  /// Distinct relations scanned, in body order (fingerprint + prep).
+  /// Distinct relations scanned, in body order.
   std::vector<std::string> relations;
 };
 
+/// One node of a UnionPlan's shared-prefix trie: a planned step, joined
+/// onto the intermediate of its parent. The path from the root to a node
+/// is a join prefix common to every disjunct below it, so it runs once per
+/// execution however many disjuncts share it.
+struct PlanNode {
+  /// The step (unused at the root, which stands for the unit
+  /// intermediate). Its live_after mask covers the slots bound up to this
+  /// node and is the union of the masks of the disjuncts through it.
+  PlannedStep step;
+  uint32_t parent = 0;
+  uint32_t relation = 0;    // index into UnionPlan::relations
+  int32_t join_table = -1;  // index into UnionPlan::join_tables; -1: unkeyed
+  std::vector<uint32_t> children;  // in insertion order
+  std::vector<uint32_t> leaves;    // disjuncts whose path ends here
+};
+
+/// What a UnionPlan keeps of one disjunct besides its trie path.
+struct DisjunctLeaf {
+  uint32_t node = 0;  // where the path ends; 0 (the root) for a ground body
+  std::vector<PlanTerm> head;
+  /// Whether every comparison without variables holds; when false the
+  /// disjunct contributes nothing and is not executed.
+  bool const_ok = true;
+  /// Distinct relations scanned, in body order, as indices into
+  /// UnionPlan::relations (the gate probes them in this order).
+  std::vector<uint32_t> relations;
+  double est = 0;  // estimated rows after the last step (node != 0)
+};
+
 /// The compiled physical plan of a whole union query; this is what sits in
-/// a PhysicalPlanSlot next to the cached rewriting.
+/// a PhysicalPlanSlot next to the cached rewriting. Each disjunct is
+/// planned alone, then its steps are inserted into one prefix trie, so
+/// every step is stored once per trie node rather than once per disjunct
+/// (docs/query_planning.md, shared-prefix execution).
 struct UnionPlan : public PhysicalPlanHandle {
   /// ColumnarCatalog::StatsFingerprint over every relation the plan scans,
   /// taken at planning time. Execution replans when its catalog disagrees.
   uint64_t stats_fingerprint = 0;
   /// Distinct relations across all disjuncts, sorted (fingerprint input).
   std::vector<std::string> relations;
-  std::vector<DisjunctPlan> disjuncts;
+  /// The trie; nodes[0] is the root and every parent precedes its
+  /// children.
+  std::vector<PlanNode> nodes;
+  std::vector<DisjunctLeaf> disjuncts;
+  /// One node per distinct (relation, scan signature) among the keyed
+  /// steps, in first-use order: the join tables execution may need.
+  std::vector<uint32_t> join_tables;
 };
+
+/// Builds a UnionPlan's shared-prefix trie from disjunct plans added in
+/// disjunct order. A child is found through one hash over (parent, step
+/// key) — integer ids: relation, columns, canonical slots, constants'
+/// value hashes — confirmed field by field, so insertion is O(steps).
+class UnionPlanBuilder {
+ public:
+  UnionPlanBuilder();
+
+  /// Inserts `dp`'s steps as a path, sharing every step already present
+  /// under the same parent, and records the disjunct's leaf.
+  void Add(DisjunctPlan dp);
+
+  /// The plan, its relation list sorted (the fingerprint is not stamped).
+  UnionPlan Finish() &&;
+
+ private:
+  uint32_t RelationId(const std::string& name);
+  int32_t JoinTableId(uint32_t relation, const std::string& signature,
+                      uint32_t node);
+
+  UnionPlan plan_;
+  std::vector<std::string> names_;  // by provisional relation id
+  std::unordered_map<std::string, uint32_t> relation_ids_;
+  // Per provisional relation id: scan signature -> join_tables index.
+  std::vector<std::unordered_map<std::string, int32_t>> join_tables_;
+  std::unordered_multimap<uint64_t, uint32_t> children_;  // step key -> node
+};
+
+/// Marks the trie nodes on the path of every disjunct flagged in
+/// `disjuncts` (the root always). Execution visits only marked nodes.
+std::vector<char> MarkPaths(const UnionPlan& plan,
+                            const std::vector<char>& disjuncts);
 
 /// Optional per-relation network-cost annotator: maps a stored relation
 /// name to its estimated fetch round trip in virtual ms (typically
@@ -118,7 +194,10 @@ Result<DisjunctPlan> PlanDisjunct(const ConjunctiveQuery& cq,
                                   const ColumnarCatalog& catalog,
                                   const NetCostFn& net_cost = nullptr);
 
-/// Plans every disjunct and stamps the stats fingerprint.
+/// Plans every disjunct, inserts its steps into the shared-prefix trie
+/// (nodes are keyed on relation, scan filters and key columns, canonical
+/// key slots, binds, build side and comparisons), and stamps the stats
+/// fingerprint.
 Result<UnionPlan> PlanUnion(const UnionQuery& uq, const Database& db,
                             const ColumnarCatalog& catalog,
                             const NetCostFn& net_cost = nullptr);

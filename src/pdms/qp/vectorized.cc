@@ -14,13 +14,31 @@ namespace {
 
 constexpr uint64_t kKeySeed = 0xcbf29ce484222325ULL;
 
-// The running join state: one code vector per bound slot, all the same
-// length. Unbound slots have empty vectors.
+// The running join state: one code vector per slot bound so far (slots
+// are canonical, so those are slots [0, width)), all the same length. Dead
+// slots, which nothing downstream reads, have empty vectors.
 struct Intermediate {
   size_t rows = 0;
   std::vector<std::vector<Code>> slot_cols;
   std::vector<char> bound;
 };
+
+// The unit intermediate — one row, no columns — so an empty (ground) body
+// projects exactly one row; the first scan replaces it.
+Intermediate UnitIntermediate() {
+  Intermediate in;
+  in.rows = 1;
+  return in;
+}
+
+// The number of slots bound once `step` has run over `in`.
+size_t WidthAfter(const Intermediate& in, const PlannedStep& step) {
+  size_t width = in.slot_cols.size();
+  for (const auto& [col, slot] : step.scan.binds) {
+    width = std::max(width, slot + 1);
+  }
+  return width;
+}
 
 // (intermediate row, scan row) matches of one join step, in probe order.
 using MatchPairs = std::vector<std::pair<uint32_t, uint32_t>>;
@@ -94,13 +112,13 @@ bool LiveAfter(const PlannedStep& step, size_t slot) {
 // scan (right row). Slots nothing downstream reads are dropped, so deep
 // pipelines move only the live columns.
 Intermediate GatherJoin(const Intermediate& prev, const MatchPairs& pairs,
-                        const PlannedStep& step, const ColumnarRelation& data,
-                        size_t num_slots) {
+                        const PlannedStep& step, const ColumnarRelation& data) {
   Intermediate next;
   next.rows = pairs.size();
-  next.bound.assign(num_slots, 0);
-  next.slot_cols.assign(num_slots, {});
-  for (size_t s = 0; s < num_slots; ++s) {
+  const size_t width = WidthAfter(prev, step);
+  next.bound.assign(width, 0);
+  next.slot_cols.assign(width, {});
+  for (size_t s = 0; s < prev.slot_cols.size(); ++s) {
     if (!prev.bound[s] || !LiveAfter(step, s)) continue;
     next.bound[s] = 1;
     std::vector<Code>& col = next.slot_cols[s];
@@ -122,15 +140,14 @@ Intermediate GatherJoin(const Intermediate& prev, const MatchPairs& pairs,
 // Applies the comparisons attached to a step, compacting the intermediate
 // in place. Decoding is per surviving row; integer-only comparisons never
 // touch the dictionary (Decode copies the string for string codes).
-void ApplyComparisons(const DisjunctPlan& plan, const PlannedStep& step,
-                      const ColumnarCatalog& catalog, Intermediate* in) {
+void ApplyComparisons(const PlannedStep& step, const ColumnarCatalog& catalog,
+                      Intermediate* in) {
   if (step.comparisons.empty() || in->rows == 0) return;
   std::vector<uint32_t> keep;
   keep.reserve(in->rows);
   for (size_t row = 0; row < in->rows; ++row) {
     bool ok = true;
-    for (size_t ci : step.comparisons) {
-      const PlanComparison& c = plan.comparisons[ci];
+    for (const PlanComparison& c : step.comparisons) {
       Value lhs = c.lhs.is_const ? c.lhs.value
                                  : catalog.Decode(in->slot_cols[c.lhs.slot][row]);
       Value rhs = c.rhs.is_const ? c.rhs.value
@@ -211,133 +228,110 @@ JoinTable BuildJoinTable(const PlannedScan& scan,
   return table;
 }
 
-Result<std::vector<Tuple>> ExecuteDisjunct(const DisjunctPlan& plan,
-                                           const Database& db,
-                                           const ColumnarCatalog& catalog,
-                                           exec::ThreadPool* pool,
-                                           StepActuals* actuals) {
-  std::vector<Tuple> out;
-  auto bail = [&]() -> std::vector<Tuple> {
-    // Record zero cardinality for the remaining steps so explain output
-    // stays aligned with the plan.
-    if (actuals != nullptr) {
-      while (actuals->size() < plan.steps.size() + 1) actuals->push_back(0);
+namespace {
+
+// Runs one planned step over `in`: the first step scans, every later one
+// hash-joins `in` with the filtered scan (or crosses it when unkeyed), and
+// the step's comparisons then filter the result. `data` is null when the
+// database lacks the relation at the step's arity, which yields no rows;
+// `table` is the catalog's join table for a keyed step, or null to build
+// one locally. This is the one step runner of both execution shapes.
+Intermediate RunStep(const PlannedStep& step, bool first,
+                     const Intermediate& in, const ColumnarRelation* data,
+                     const JoinTable* table, const ColumnarCatalog& catalog,
+                     exec::ThreadPool* pool) {
+  if (data == nullptr) return Intermediate{};
+  Intermediate out;
+  if (first) {
+    std::vector<uint32_t> rows = RunScanFilter(step.scan, *data, catalog);
+    out.rows = rows.size();
+    const size_t width = WidthAfter(in, step);
+    out.slot_cols.assign(width, {});
+    out.bound.assign(width, 0);
+    for (const auto& [scan_col, slot] : step.scan.binds) {
+      if (!LiveAfter(step, slot)) continue;
+      std::vector<Code>& col = out.slot_cols[slot];
+      col.resize(rows.size());
+      const CodeColumn& src = data->cols[scan_col];
+      for (size_t i = 0; i < rows.size(); ++i) col[i] = src[rows[i]];
+      out.bound[slot] = 1;
     }
-    return {};
-  };
-  for (size_t ci : plan.const_comparisons) {
-    const PlanComparison& c = plan.comparisons[ci];
-    if (!EvalCmp(c.op, c.lhs.value, c.rhs.value)) return bail();
-  }
-
-  // Execution starts from the unit intermediate — one row, no columns —
-  // so an empty (ground) body projects exactly one row; the first scan
-  // replaces it.
-  Intermediate in;
-  in.rows = 1;
-  in.slot_cols.assign(plan.num_slots, {});
-  in.bound.assign(plan.num_slots, 0);
-  for (size_t si = 0; si < plan.steps.size(); ++si) {
-    const PlannedStep& step = plan.steps[si];
-    const Relation* rel = db.Find(step.scan.relation);
-    if (rel == nullptr || rel->arity() != step.scan.arity) return bail();
-    const ColumnarRelation* data = catalog.Find(step.scan.relation);
-    PDMS_CHECK_MSG(data != nullptr, "relation not ensured in catalog");
-
-    if (si == 0) {
-      std::vector<uint32_t> rows = RunScanFilter(step.scan, *data, catalog);
-      in.rows = rows.size();
-      for (const auto& [scan_col, slot] : step.scan.binds) {
-        if (!LiveAfter(step, slot)) continue;
-        std::vector<Code>& col = in.slot_cols[slot];
-        col.resize(rows.size());
-        const CodeColumn& src = data->cols[scan_col];
-        for (size_t i = 0; i < rows.size(); ++i) col[i] = src[rows[i]];
-        in.bound[slot] = 1;
+  } else if (step.key_cols.empty()) {
+    // Cross product, intermediate-major: deterministic and rare (only
+    // disconnected bodies reach here).
+    std::vector<uint32_t> rows = RunScanFilter(step.scan, *data, catalog);
+    MatchPairs pairs;
+    pairs.reserve(in.rows * rows.size());
+    for (size_t i = 0; i < in.rows; ++i) {
+      for (uint32_t r : rows) {
+        pairs.emplace_back(static_cast<uint32_t>(i), r);
       }
-    } else if (step.key_cols.empty()) {
-      // Cross product, intermediate-major: deterministic and rare (only
-      // disconnected bodies reach here).
-      std::vector<uint32_t> rows = RunScanFilter(step.scan, *data, catalog);
-      MatchPairs pairs;
-      pairs.reserve(in.rows * rows.size());
-      for (size_t i = 0; i < in.rows; ++i) {
-        for (uint32_t r : rows) {
-          pairs.emplace_back(static_cast<uint32_t>(i), r);
-        }
-      }
-      in = GatherJoin(in, pairs, step, *data, plan.num_slots);
-    } else if (step.build_on_atom) {
-      // Build (or reuse the cached) hash table over the filtered scan,
-      // probe the intermediate in row order.
-      const JoinTable* table =
-          catalog.FindJoinTable(step.scan.relation, step.scan.signature);
-      JoinTable local;
-      if (table == nullptr) {
-        local = BuildJoinTable(step.scan, step.key_cols, *data, catalog);
-        table = &local;
-      }
-      MatchPairs pairs = PartitionedProbe(
-          pool, in.rows, [&](size_t begin, size_t end, MatchPairs* dst) {
-            for (size_t i = begin; i < end; ++i) {
-              uint64_t h = RowKeyHash(in, step.key_slots, i);
-              for (int32_t e = table->index.Head(h); e >= 0;
-                   e = table->index.Next(e)) {
-                uint32_t r = table->rows[static_cast<size_t>(e)];
-                if (KeysEqual(in, i, step.key_slots, *data, step.key_cols,
-                              r)) {
-                  dst->emplace_back(static_cast<uint32_t>(i), r);
-                }
+    }
+    out = GatherJoin(in, pairs, step, *data);
+  } else if (step.build_on_atom) {
+    // Build (or reuse the cached) hash table over the filtered scan,
+    // probe the intermediate in row order.
+    JoinTable local;
+    if (table == nullptr) {
+      local = BuildJoinTable(step.scan, step.key_cols, *data, catalog);
+      table = &local;
+    }
+    MatchPairs pairs = PartitionedProbe(
+        pool, in.rows, [&](size_t begin, size_t end, MatchPairs* dst) {
+          for (size_t i = begin; i < end; ++i) {
+            uint64_t h = RowKeyHash(in, step.key_slots, i);
+            for (int32_t e = table->index.Head(h); e >= 0;
+                 e = table->index.Next(e)) {
+              uint32_t r = table->rows[static_cast<size_t>(e)];
+              if (KeysEqual(in, i, step.key_slots, *data, step.key_cols, r)) {
+                dst->emplace_back(static_cast<uint32_t>(i), r);
               }
             }
-          });
-      in = GatherJoin(in, pairs, step, *data, plan.num_slots);
-    } else {
-      // Build over the (smaller) intermediate, probe the filtered scan in
-      // row order.
-      std::vector<uint32_t> rows;
-      const JoinTable* cached =
-          catalog.FindJoinTable(step.scan.relation, step.scan.signature);
-      if (cached != nullptr) {
-        rows = cached->rows;
-      } else {
-        rows = RunScanFilter(step.scan, *data, catalog);
-      }
-      std::vector<uint64_t> in_hashes(in.rows);
-      for (size_t i = 0; i < in.rows; ++i) {
-        in_hashes[i] = RowKeyHash(in, step.key_slots, i);
-      }
-      FlatTable built;
-      built.Build(in_hashes);
-      MatchPairs pairs = PartitionedProbe(
-          pool, rows.size(), [&](size_t begin, size_t end, MatchPairs* dst) {
-            for (size_t k = begin; k < end; ++k) {
-              uint32_t r = rows[k];
-              uint64_t h = ScanKeyHash(*data, step.key_cols, r);
-              for (int32_t e = built.Head(h); e >= 0; e = built.Next(e)) {
-                uint32_t i = static_cast<uint32_t>(e);
-                if (KeysEqual(in, i, step.key_slots, *data, step.key_cols,
-                              r)) {
-                  dst->emplace_back(i, r);
-                }
+          }
+        });
+    out = GatherJoin(in, pairs, step, *data);
+  } else {
+    // Build over the (smaller) intermediate, probe the filtered scan in
+    // row order.
+    std::vector<uint32_t> filtered;
+    if (table == nullptr) filtered = RunScanFilter(step.scan, *data, catalog);
+    const std::vector<uint32_t>& rows =
+        table != nullptr ? table->rows : filtered;
+    std::vector<uint64_t> in_hashes(in.rows);
+    for (size_t i = 0; i < in.rows; ++i) {
+      in_hashes[i] = RowKeyHash(in, step.key_slots, i);
+    }
+    FlatTable built;
+    built.Build(in_hashes);
+    MatchPairs pairs = PartitionedProbe(
+        pool, rows.size(), [&](size_t begin, size_t end, MatchPairs* dst) {
+          for (size_t k = begin; k < end; ++k) {
+            uint32_t r = rows[k];
+            uint64_t h = ScanKeyHash(*data, step.key_cols, r);
+            for (int32_t e = built.Head(h); e >= 0; e = built.Next(e)) {
+              uint32_t i = static_cast<uint32_t>(e);
+              if (KeysEqual(in, i, step.key_slots, *data, step.key_cols, r)) {
+                dst->emplace_back(i, r);
               }
             }
-          });
-      in = GatherJoin(in, pairs, step, *data, plan.num_slots);
-    }
-
-    ApplyComparisons(plan, step, catalog, &in);
-    if (actuals != nullptr) actuals->push_back(in.rows);
-    if (in.rows == 0) return bail();
+          }
+        });
+    out = GatherJoin(in, pairs, step, *data);
   }
+  ApplyComparisons(step, catalog, &out);
+  return out;
+}
 
-  // Project and deduplicate in probe order. Two rows project to the same
-  // tuple iff their head-slot codes agree (codes from one dictionary are
-  // injective), so dedup runs entirely on codes and only the distinct
-  // rows pay the decode back to Values.
+// Projects `in` onto `head` and deduplicates in probe order. Two rows
+// project to the same tuple iff their head-slot codes agree (codes from
+// one dictionary are injective), so dedup runs entirely on codes and only
+// the distinct rows pay the decode back to Values.
+std::vector<Tuple> Project(const std::vector<PlanTerm>& head,
+                           const Intermediate& in,
+                           const ColumnarCatalog& catalog) {
   std::vector<size_t> head_slots;
-  head_slots.reserve(plan.head.size());
-  for (const PlanTerm& h : plan.head) {
+  head_slots.reserve(head.size());
+  for (const PlanTerm& h : head) {
     if (!h.is_const) head_slots.push_back(h.slot);
   }
   std::unordered_map<uint64_t, std::vector<uint32_t>> seen;
@@ -367,18 +361,163 @@ Result<std::vector<Tuple>> ExecuteDisjunct(const DisjunctPlan& plan,
     bucket.push_back(static_cast<uint32_t>(row));
     distinct.push_back(static_cast<uint32_t>(row));
   }
+  std::vector<Tuple> out;
   out.reserve(distinct.size());
   for (uint32_t row : distinct) {
     Tuple tuple;
-    tuple.reserve(plan.head.size());
-    for (const PlanTerm& h : plan.head) {
+    tuple.reserve(head.size());
+    for (const PlanTerm& h : head) {
       tuple.push_back(h.is_const ? h.value
                                  : catalog.Decode(in.slot_cols[h.slot][row]));
     }
     out.push_back(std::move(tuple));
   }
+  return out;
+}
+
+// The columnar twin of `relation` when the database holds it; null when it
+// does not, so every scan of it yields nothing.
+const ColumnarRelation* ResolveRelation(const std::string& relation,
+                                        const Database& db,
+                                        const ColumnarCatalog& catalog) {
+  if (db.Find(relation) == nullptr) return nullptr;
+  const ColumnarRelation* data = catalog.Find(relation);
+  PDMS_CHECK_MSG(data != nullptr, "relation not ensured in catalog");
+  return data;
+}
+
+// A step's input data, or null when the relation is absent or has another
+// arity than the step's atom.
+const ColumnarRelation* StepData(const PlannedStep& step,
+                                 const ColumnarRelation* data) {
+  return data != nullptr && data->arity == step.scan.arity ? data : nullptr;
+}
+
+// Depth-first execution of a UnionPlan's trie (see ExecuteUnion).
+class TrieRunner {
+ public:
+  TrieRunner(const UnionPlan& plan, const std::vector<char>& disjuncts,
+             const std::vector<char>& paths,
+             const std::vector<const JoinTable*>& tables,
+             std::vector<const ColumnarRelation*> relations,
+             const ColumnarCatalog& catalog, exec::ThreadPool* pool,
+             std::vector<std::vector<Tuple>>* shards)
+      : plan_(plan),
+        disjuncts_(disjuncts),
+        paths_(paths),
+        tables_(tables),
+        relations_(std::move(relations)),
+        catalog_(catalog),
+        pool_(pool),
+        shards_(shards) {}
+
+  size_t Run() {
+    const Intermediate unit = UnitIntermediate();
+    ProjectLeaves(0, unit);
+    std::vector<uint32_t> subtrees;
+    for (uint32_t child : plan_.nodes[0].children) {
+      if (paths_[child]) subtrees.push_back(child);
+    }
+    // Whole subtrees of the root fan out; each task counts its own steps
+    // and writes only the shards of the disjuncts below it.
+    std::vector<size_t> steps(subtrees.size(), 0);
+    exec::ParallelFor(pool_, subtrees.size(), [&](size_t k) {
+      steps[k] = RunChild(subtrees[k], unit);
+    });
+    size_t total = 0;
+    for (size_t n : steps) total += n;
+    return total;
+  }
+
+ private:
+  // Runs `node`'s step over its parent's intermediate `in`, then the
+  // subtree below it unless the result is empty; returns the steps run.
+  size_t RunChild(uint32_t node, const Intermediate& in) {
+    const PlanNode& n = plan_.nodes[node];
+    const JoinTable* table =
+        n.join_table >= 0 ? tables_[n.join_table] : nullptr;
+    Intermediate out =
+        RunStep(n.step, n.parent == 0, in,
+                StepData(n.step, relations_[n.relation]), table, catalog_,
+                pool_);
+    size_t steps = 1;
+    if (out.rows == 0) return steps;  // prunes every disjunct below
+    ProjectLeaves(node, out);
+    for (uint32_t child : n.children) {
+      if (paths_[child]) steps += RunChild(child, out);
+    }
+    return steps;
+  }
+
+  void ProjectLeaves(uint32_t node, const Intermediate& in) {
+    for (uint32_t d : plan_.nodes[node].leaves) {
+      if (disjuncts_[d]) {
+        (*shards_)[d] = Project(plan_.disjuncts[d].head, in, catalog_);
+      }
+    }
+  }
+
+  const UnionPlan& plan_;
+  const std::vector<char>& disjuncts_;
+  const std::vector<char>& paths_;
+  const std::vector<const JoinTable*>& tables_;
+  const std::vector<const ColumnarRelation*> relations_;
+  const ColumnarCatalog& catalog_;
+  exec::ThreadPool* pool_;
+  std::vector<std::vector<Tuple>>* shards_;
+};
+
+}  // namespace
+
+Result<std::vector<Tuple>> ExecuteDisjunct(const DisjunctPlan& plan,
+                                           const Database& db,
+                                           const ColumnarCatalog& catalog,
+                                           exec::ThreadPool* pool,
+                                           StepActuals* actuals) {
+  auto bail = [&]() -> std::vector<Tuple> {
+    // Record zero cardinality for the remaining steps so explain output
+    // stays aligned with the plan.
+    if (actuals != nullptr) {
+      while (actuals->size() < plan.steps.size() + 1) actuals->push_back(0);
+    }
+    return {};
+  };
+  for (const PlanComparison& c : plan.const_comparisons) {
+    if (!EvalCmp(c.op, c.lhs.value, c.rhs.value)) return bail();
+  }
+
+  Intermediate in = UnitIntermediate();
+  for (size_t si = 0; si < plan.steps.size(); ++si) {
+    const PlannedStep& step = plan.steps[si];
+    const ColumnarRelation* data =
+        StepData(step, ResolveRelation(step.scan.relation, db, catalog));
+    const JoinTable* table =
+        step.key_cols.empty()
+            ? nullptr
+            : catalog.FindJoinTable(step.scan.relation, step.scan.signature);
+    in = RunStep(step, si == 0, in, data, table, catalog, pool);
+    if (actuals != nullptr) actuals->push_back(in.rows);
+    if (in.rows == 0) return bail();
+  }
+  std::vector<Tuple> out = Project(plan.head, in, catalog);
   if (actuals != nullptr) actuals->push_back(out.size());
   return out;
+}
+
+size_t ExecuteUnion(const UnionPlan& plan, const std::vector<char>& disjuncts,
+                    const std::vector<char>& paths,
+                    const std::vector<const JoinTable*>& tables,
+                    const Database& db, const ColumnarCatalog& catalog,
+                    exec::ThreadPool* pool,
+                    std::vector<std::vector<Tuple>>* shards) {
+  std::vector<const ColumnarRelation*> relations;
+  relations.reserve(plan.relations.size());
+  for (const std::string& r : plan.relations) {
+    relations.push_back(ResolveRelation(r, db, catalog));
+  }
+  return TrieRunner(plan, disjuncts, paths, tables, std::move(relations),
+                    catalog, pool, shards)
+      .Run();
 }
 
 }  // namespace qp

@@ -39,19 +39,39 @@ using StepActuals = std::vector<size_t>;
 
 /// Executes one disjunct's physical plan against `db` through `catalog`,
 /// returning the projected, deduplicated head tuples in a deterministic
-/// order (probe order, which is fixed by the plan).
+/// order (probe order, which is fixed by the plan). This is the one-path
+/// case of ExecuteUnion: both drive the same step runner.
 ///
 /// `catalog` is read only — every relation must have been Ensure'd (and
 /// scan-side join tables ideally prebuilt) before the call, which is what
-/// makes concurrent disjunct execution safe. With `pool` attached, hash
-/// join probes over >= kParallelProbeThreshold rows are partitioned across
-/// workers; partitions are contiguous row ranges concatenated in order, so
-/// the output is byte-identical to the serial probe.
+/// makes concurrent execution safe. With `pool` attached, hash join probes
+/// over >= kParallelProbeThreshold rows are partitioned across workers;
+/// partitions are contiguous row ranges concatenated in order, so the
+/// output is byte-identical to the serial probe.
 Result<std::vector<Tuple>> ExecuteDisjunct(const DisjunctPlan& plan,
                                            const Database& db,
                                            const ColumnarCatalog& catalog,
                                            exec::ThreadPool* pool,
                                            StepActuals* actuals);
+
+/// Executes the shared-prefix trie of `plan` depth-first for the disjuncts
+/// flagged in `disjuncts`, visiting only the nodes MarkPaths flagged in
+/// `paths`. Each prefix is joined once, reading its parent's intermediate
+/// in place; an empty intermediate prunes every disjunct below it. Each
+/// flagged disjunct's leaf fills (*shards)[d] with exactly the tuples, in
+/// the order, that ExecuteDisjunct returns for that disjunct alone.
+///
+/// `tables` holds, per UnionPlan::join_tables entry, the catalog's join
+/// table or null (a step then builds one locally). The catalog is read
+/// only, as for ExecuteDisjunct; with `pool` attached the root's subtrees
+/// run as parallel tasks, each writing only its own disjuncts' shards.
+/// Returns the number of steps run.
+size_t ExecuteUnion(const UnionPlan& plan, const std::vector<char>& disjuncts,
+                    const std::vector<char>& paths,
+                    const std::vector<const JoinTable*>& tables,
+                    const Database& db, const ColumnarCatalog& catalog,
+                    exec::ThreadPool* pool,
+                    std::vector<std::vector<Tuple>>* shards);
 
 }  // namespace qp
 }  // namespace pdms

@@ -461,9 +461,27 @@ void PplServer::DrainCompletions() {
     if (outcome.shed) {
       QueueWrite(conn, wire::EncodeShed(outcome.shed_frame));
     } else {
-      QueueWrite(conn, wire::EncodeAnswer(outcome.answer));
+      QueueWrite(conn, EncodeAnswerWithinCap(outcome.answer));
     }
   }
+}
+
+std::string PplServer::EncodeAnswerWithinCap(const wire::AnswerFrame& answer) {
+  std::string bytes = wire::EncodeAnswer(answer);
+  const size_t payload = bytes.size() - wire::kHeaderBytes;
+  const size_t cap = options_.limits.max_payload_bytes;
+  if (payload <= cap) return bytes;
+  // The peer's decoder would refuse this frame and drop the connection;
+  // an error answer keeps the connection usable.
+  if (metrics_) metrics_->Add("serve.oversized_answers");
+  wire::AnswerFrame error;
+  error.request_id = answer.request_id;
+  error.status_code = static_cast<uint32_t>(StatusCode::kResourceExhausted);
+  error.status_message =
+      StrFormat("answer of %zu bytes exceeds the %zu-byte frame cap", payload,
+                cap);
+  error.server_ms = answer.server_ms;
+  return wire::EncodeAnswer(error);
 }
 
 }  // namespace serve

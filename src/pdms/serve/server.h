@@ -118,6 +118,10 @@ class PplServer {
   bool FlushWrites(Connection* conn);
   void CloseConnection(uint64_t conn_id, const char* reason);
   void DrainCompletions();
+  /// Encodes `answer`, or — when its payload exceeds the frame cap both
+  /// ends share (`limits.max_payload_bytes`) — a kResourceExhausted error
+  /// answer naming both sizes (`serve.oversized_answers`).
+  std::string EncodeAnswerWithinCap(const wire::AnswerFrame& answer);
   double NextDeadlineMs() const;
 
   ServerOptions options_;

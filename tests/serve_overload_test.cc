@@ -25,6 +25,7 @@
 #include "pdms/serve/server.h"
 #include "pdms/serve/wire.h"
 #include "pdms/util/check.h"
+#include "pdms/util/strings.h"
 
 namespace pdms {
 namespace serve {
@@ -310,6 +311,47 @@ TEST(Serving, OversizedDeclaredPayloadIsRejectedFromTheHeader) {
   EXPECT_FALSE(client.ReadFrame().ok());
   fixture.server()->Stop();
   EXPECT_GE(fixture.metrics()->counter("serve.protocol_errors"), 1u);
+}
+
+TEST(Serving, AnswerOverTheFrameCapIsAnErrorAndTheConnectionSurvives) {
+  // 64 doctors make the full answer far larger than a 1 KiB frame cap;
+  // one doctor's row fits.
+  Pdms loader;
+  ASSERT_TRUE(loader.LoadProgram(kProgram).ok());
+  for (int i = 0; i < 64; ++i) {
+    ASSERT_TRUE(loader
+                    .Insert("hdoc", {Value::String(StrFormat("doctor%02d", i)),
+                                     Value::String("general")})
+                    .ok());
+  }
+  ServerOptions options;
+  options.limits.max_payload_bytes = 1024;
+  obs::MetricsRegistry metrics;
+  PplServer server(options, &metrics);
+  ASSERT_TRUE(server.Start(loader.network(), loader.database()).ok());
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port(), 10000).ok());
+
+  auto big = client.Query(kQuery);
+  ASSERT_TRUE(big.ok()) << big.status().ToString();
+  ASSERT_FALSE(big->shed);
+  EXPECT_EQ(big->answer.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(big->answer.status_message.find("exceeds the 1024-byte"),
+            std::string::npos)
+      << big->answer.status_message;
+  EXPECT_TRUE(big->answer.tuples.empty());
+
+  auto small = client.Query("q(h) :- Hospital:Doctor(\"alice\", h).");
+  ASSERT_TRUE(small.ok()) << small.status().ToString();
+  ASSERT_FALSE(small->shed);
+  ASSERT_TRUE(small->answer.status().ok()) << small->answer.status_message;
+  ASSERT_EQ(small->answer.tuples.size(), 1u);
+  EXPECT_EQ(small->answer.tuples[0][0], Value::String("county"));
+
+  client.Close();
+  server.Stop();
+  EXPECT_EQ(metrics.counter("serve.oversized_answers"), 1u);
+  EXPECT_EQ(metrics.counter("serve.protocol_errors"), 0u);
 }
 
 TEST(Serving, ServerOnlyFrameTypesFromClientsAreRejected) {

@@ -14,12 +14,14 @@
 #      counter must advance and answers must match a never-cached
 #      instance (docs/plan_cache.md).
 #   6. ThreadSanitizer gate over the parallel executor: the exec
-#      primitives and the parallel-vs-serial equivalence suite under
-#      TSan. The suite checks that parallel evaluation returns the serial
-#      run verbatim (rewritings with their variable names, answers,
-#      reports, counters) at 2, 4 and 8 threads, including a
-#      95,136-node rule-goal tree, and exercises concurrent serving over
-#      shared caches (docs/parallel_execution.md).
+#      primitives, the parallel-vs-serial equivalence suite and the
+#      shared-prefix suite under TSan. The equivalence suite checks that
+#      parallel evaluation returns the serial run verbatim (rewritings
+#      with their variable names, answers, reports, counters) at 2, 4 and
+#      8 threads, including a 95,136-node rule-goal tree, and exercises
+#      concurrent serving over shared caches (docs/parallel_execution.md);
+#      the shared-prefix suite fans a union plan's trie subtrees out over
+#      2 and 4 workers (docs/query_planning.md).
 #   7. churn gate: a 32-seed churn-DST smoke (cached and uncached twins
 #      byte-compared under live catalog churn) plus the dependency-
 #      tracked invalidation and peer-health suites, all under TSan,
@@ -46,7 +48,9 @@
 #      plan-cache branches, early stop, gating order) and the pipeline
 #      parity suite (Pdms, streaming and SimPdms agree on answers,
 #      reports and cache counters, cold, warm and after an availability
-#      flip) under asan+ubsan, plus a join micro-bench smoke and a small
+#      flip) and the shared-prefix suite (trie execution against
+#      per-disjunct execution and the legacy oracle) under asan+ubsan,
+#      plus a join micro-bench smoke and a small
 #      end-to-end engine comparison whose soundness check must pass
 #      (docs/query_planning.md).
 #  11. network-cost gate: the topology/link-map/network-model suite and a
@@ -110,14 +114,16 @@ echo "== [5/11] cache-coherence smoke =="
 "${BUILD_DIR}/tests/cache_coherence_test" \
   --gtest_filter='CacheCoherence.Smoke'
 
-echo "== [6/11] tsan: exec primitives + parallel equivalence =="
+echo "== [6/11] tsan: exec primitives + parallel equivalence + shared prefix =="
 cmake --preset tsan > /dev/null
 cmake --build "${TSAN_BUILD_DIR}" -j "${JOBS}" \
-  --target exec_test parallel_equivalence_test
+  --target exec_test parallel_equivalence_test shared_prefix_test
 TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
   "${TSAN_BUILD_DIR}/tests/exec_test"
 TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
   "${TSAN_BUILD_DIR}/tests/parallel_equivalence_test"
+TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
+  "${TSAN_BUILD_DIR}/tests/shared_prefix_test"
 
 echo "== [7/11] tsan: churn DST smoke + invalidation/health suites =="
 cmake --build "${TSAN_BUILD_DIR}" -j "${JOBS}" \
@@ -237,6 +243,7 @@ echo "== [10/11] qp gate: asan + tsan suites, eval bench smoke =="
 "${ASAN_BUILD_DIR}/tests/qp_equivalence_test"
 "${ASAN_BUILD_DIR}/tests/streaming_equivalence_test"
 "${ASAN_BUILD_DIR}/tests/pipeline_parity_test"
+"${ASAN_BUILD_DIR}/tests/shared_prefix_test"
 "${ASAN_BUILD_DIR}/tests/serve_client_pool_test"
 # Under TSan: the equivalence suite runs the vectorized engine at 1/2/8
 # threads over shared plan caches, the client-pool suite hands leases
