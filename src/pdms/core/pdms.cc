@@ -1,7 +1,6 @@
 #include "pdms/core/pdms.h"
 
 #include <algorithm>
-#include <set>
 
 #include "pdms/core/query_pipeline.h"
 #include "pdms/exec/thread_pool.h"
@@ -176,13 +175,12 @@ Result<Relation> Pdms::AnswerStreaming(
   AccessController access = NewAccessController();
   Status eval_error = Status::Ok();
   // One rewriting at a time through the vectorized engine. Gating clears
-  // each distinct body relation in body order and stops at the first veto,
-  // so the AccessController probe sequence (and every fault-injector draw)
-  // is a function of the rewriting stream alone.
+  // the body relations in body order and stops at the first veto; the
+  // controller keeps one verdict per relation, so a repeat costs no probe
+  // and the probe sequence (and every fault-injector draw) is a function
+  // of the rewriting stream alone.
   auto eval_one = [&](const ConjunctiveQuery& rewriting) {
-    std::set<std::string> gated;
     for (const Atom& a : rewriting.body()) {
-      if (!gated.insert(a.predicate()).second) continue;
       Status s = access.Access(a.predicate());
       if (s.ok()) continue;
       // A rewriting over an unavailable source degrades the stream (its

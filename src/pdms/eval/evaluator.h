@@ -33,9 +33,18 @@ Status ForEachMatch(const std::vector<Atom>& body,
 /// tuples (set semantics). The query must be safe.
 Result<Relation> EvaluateCQ(const ConjunctiveQuery& cq, const Database& db);
 
-/// Availability gate consulted once per distinct relation before a scan.
-/// Returning a non-OK status (typically kUnavailable, possibly after the
-/// fault layer exhausted its retries) vetoes the scan.
+/// Availability gate consulted before a scan. Returning a non-OK status
+/// (typically kUnavailable, possibly after the fault layer exhausted its
+/// retries) vetoes the scan.
+///
+/// Contract: qp::Engine::EvaluateUnionDegraded calls the gate exactly once
+/// per distinct relation of the union per evaluation, at the relation's
+/// first use over (disjunct, body order), and applies that verdict to
+/// every disjunct scanning it. A gate must therefore give one relation the
+/// same verdict for the whole evaluation, as AccessController's per-query
+/// cache does. The legacy EvaluateUnionDegraded below probes once per
+/// distinct relation of each disjunct; over such a gate both see the same
+/// first probes in the same order.
 using StoredGate = std::function<Status(const std::string& relation)>;
 
 /// Evaluates a union of conjunctive queries (all disjuncts must share head

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -156,10 +157,12 @@ class ScopedSpan {
     id_ = kNoSpan;
   }
 
+  /// Sets an attribute on the span. The key's string is built only when
+  /// tracing, so an untraced call costs one branch.
   template <typename V>
-  void Set(std::string key, V value) {
+  void Set(std::string_view key, V value) {
     if (ctx_ != nullptr && id_ != kNoSpan) {
-      ctx_->SetAttribute(id_, std::move(key), value);
+      ctx_->SetAttribute(id_, std::string(key), std::move(value));
     }
   }
 

@@ -68,20 +68,25 @@ Result<DegradedEvalResult> Engine::EvaluateUnionDegraded(
                         PlanOrReuse(uq, db, trace, metrics, slot));
 
   obs::ScopedSpan exec_span(trace, "qp.exec");
-  std::set<std::string> unavailable;
 
-  // Gating stays serial and in disjunct order — the loop below matches the
-  // legacy evaluator probe for probe, so AccessStats and the
-  // DegradationReport are byte-identical to it. Surviving disjuncts are
-  // collected and executed afterwards; their eval_cq/join spans are opened
-  // (and closed) here, in disjunct order, so the span tree is identical
-  // whether execution later runs serially or fans out.
+  // Gating stays serial and in disjunct order. The gate is consulted once
+  // per distinct plan relation, at its first use in (disjunct, body
+  // order) — the probe sequence of the legacy evaluator over a caching
+  // gate such as AccessController — and every later disjunct reads the
+  // verdict kept here, so AccessStats and the DegradationReport are
+  // byte-identical to it. Surviving disjuncts are collected and executed
+  // afterwards; their eval_cq/join spans are opened (and closed) here, in
+  // disjunct order, so the span tree is identical whether execution later
+  // runs serially or fans out.
   struct PendingExec {
     size_t disjunct;
     obs::SpanId cq_span;
     obs::SpanId join_span;
   };
   std::vector<PendingExec> pending;
+  enum Verdict : char { kUnprobed, kOpen, kVetoed };
+  // Per plan relation id (UnionPlan::relations is sorted).
+  std::vector<char> verdicts(plan->relations.size(), kUnprobed);
   // Per disjunct: survived gating and its constant comparisons hold.
   std::vector<char> run(uq.size(), 0);
   size_t index = 0;
@@ -97,16 +102,17 @@ Result<DegradedEvalResult> Engine::EvaluateUnionDegraded(
     cq_span.Set("atoms", static_cast<uint64_t>(cq.body().size()));
     bool skipped = false;
     if (gate) {
-      // The leaf lists the distinct relations in body order.
+      // The leaf lists the distinct relations in body order. A vetoed
+      // relation does not stop the scan of the rest: each first probe is
+      // recorded in the access stats, in the legacy order.
       for (uint32_t r : leaf.relations) {
-        const std::string& relation = plan->relations[r];
-        Status s = gate(relation);
-        if (s.ok()) continue;
-        if (s.code() != StatusCode::kUnavailable) return s;
-        unavailable.insert(relation);
-        skipped = true;
-        // Keep gating the remaining relations: each probe is recorded in
-        // the access stats, and later disjuncts reuse the cached verdicts.
+        char& verdict = verdicts[r];
+        if (verdict == kUnprobed) {
+          Status s = gate(plan->relations[r]);
+          if (!s.ok() && s.code() != StatusCode::kUnavailable) return s;
+          verdict = s.ok() ? kOpen : kVetoed;
+        }
+        if (verdict == kVetoed) skipped = true;
       }
     }
     if (skipped) {
@@ -128,15 +134,7 @@ Result<DegradedEvalResult> Engine::EvaluateUnionDegraded(
   // signature) list once. Execution below then only reads the catalog,
   // which is what makes the subtree fan-out safe.
   const std::vector<char> paths = MarkPaths(*plan, run);
-  // Per join table: 0 unused, 1 read if cached (a probe-side scan), 2
-  // built over the scan side.
-  std::vector<char> needed(plan->join_tables.size(), 0);
-  for (size_t n = 1; n < plan->nodes.size(); ++n) {
-    const PlanNode& node = plan->nodes[n];
-    if (!paths[n] || node.join_table < 0) continue;
-    char& use = needed[node.join_table];
-    use = std::max<char>(use, node.step.build_on_atom ? 2 : 1);
-  }
+  const std::vector<char> needed = JoinTableNeeds(*plan, paths);
   for (size_t t = 0; t < plan->join_tables.size(); ++t) {
     if (needed[t] != 2) continue;
     const PlannedStep& step = plan->nodes[plan->join_tables[t]].step;
@@ -184,7 +182,11 @@ Result<DegradedEvalResult> Engine::EvaluateUnionDegraded(
   exec_span.Set("steps", static_cast<uint64_t>(steps));
   exec_span.End();
 
-  out.unavailable_relations.assign(unavailable.begin(), unavailable.end());
+  for (size_t r = 0; r < verdicts.size(); ++r) {
+    if (verdicts[r] == kVetoed) {
+      out.unavailable_relations.push_back(plan->relations[r]);
+    }
+  }
   if (metrics != nullptr) {
     metrics->Add("eval.disjuncts", uq.size());
     metrics->Add("eval.disjuncts_skipped", out.disjuncts_skipped);

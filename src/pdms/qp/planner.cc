@@ -420,6 +420,7 @@ void UnionPlanBuilder::Add(DisjunctPlan dp) {
     node = child;
   }
   leaf.node = node;
+  plan_.depth = std::max(plan_.depth, dp.steps.size());
   plan_.nodes[node].leaves.push_back(index);
   plan_.disjuncts.push_back(std::move(leaf));
 }
@@ -489,6 +490,18 @@ std::vector<char> MarkPaths(const UnionPlan& plan,
     }
   }
   return marked;
+}
+
+std::vector<char> JoinTableNeeds(const UnionPlan& plan,
+                                 const std::vector<char>& paths) {
+  std::vector<char> needs(plan.join_tables.size(), 0);
+  for (size_t n = 1; n < plan.nodes.size(); ++n) {
+    const PlanNode& node = plan.nodes[n];
+    if (!paths[n] || node.join_table < 0) continue;
+    char& use = needs[node.join_table];
+    use = std::max<char>(use, node.step.build_on_atom ? 2 : 1);
+  }
+  return needs;
 }
 
 std::string RenderDisjunctPlan(const DisjunctPlan& plan,

@@ -143,6 +143,9 @@ struct UnionPlan : public PhysicalPlanHandle {
   /// One node per distinct (relation, scan signature) among the keyed
   /// steps, in first-use order: the join tables execution may need.
   std::vector<uint32_t> join_tables;
+  /// The longest root-to-leaf path, in steps: how many intermediates one
+  /// depth-first execution holds at once.
+  size_t depth = 0;
 };
 
 /// Builds a UnionPlan's shared-prefix trie from disjunct plans added in
@@ -177,6 +180,13 @@ class UnionPlanBuilder {
 /// `disjuncts` (the root always). Execution visits only marked nodes.
 std::vector<char> MarkPaths(const UnionPlan& plan,
                             const std::vector<char>& disjuncts);
+
+/// Per UnionPlan::join_tables entry, what the nodes marked in `paths` need
+/// of it: 0 nothing, 1 the cached table if there is one (a step that
+/// builds over its intermediate and probes the scan), 2 a table built
+/// over the scan side.
+std::vector<char> JoinTableNeeds(const UnionPlan& plan,
+                                 const std::vector<char>& paths);
 
 /// Optional per-relation network-cost annotator: maps a stored relation
 /// name to its estimated fetch round trip in virtual ms (typically

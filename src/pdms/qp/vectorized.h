@@ -40,7 +40,8 @@ using StepActuals = std::vector<size_t>;
 /// Executes one disjunct's physical plan against `db` through `catalog`,
 /// returning the projected, deduplicated head tuples in a deterministic
 /// order (probe order, which is fixed by the plan). This is the one-path
-/// case of ExecuteUnion: both drive the same step runner.
+/// case of ExecuteUnion: both drive the same step runner, which alternates
+/// between two intermediate buffers local to the call.
 ///
 /// `catalog` is read only — every relation must have been Ensure'd (and
 /// scan-side join tables ideally prebuilt) before the call, which is what
@@ -65,7 +66,9 @@ Result<std::vector<Tuple>> ExecuteDisjunct(const DisjunctPlan& plan,
 /// table or null (a step then builds one locally). The catalog is read
 /// only, as for ExecuteDisjunct; with `pool` attached the root's subtrees
 /// run as parallel tasks, each writing only its own disjuncts' shards.
-/// Returns the number of steps run.
+/// The walk keeps one reusable intermediate buffer per trie depth
+/// (UnionPlan::depth of them) plus step scratch, one set per parallel
+/// task; none of it outlives the call. Returns the number of steps run.
 size_t ExecuteUnion(const UnionPlan& plan, const std::vector<char>& disjuncts,
                     const std::vector<char>& paths,
                     const std::vector<const JoinTable*>& tables,

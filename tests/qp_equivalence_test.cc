@@ -6,6 +6,7 @@
 // legacy evaluator stays in the tree as the oracle (legacy_oracle.h)
 // exactly so this suite can hold the line.
 
+#include <algorithm>
 #include <cstddef>
 #include <string>
 #include <vector>
@@ -15,8 +16,12 @@
 #include "pdms/cache/goal_memo.h"
 #include "pdms/cache/plan_cache.h"
 #include "pdms/core/pdms.h"
+#include "pdms/eval/evaluator.h"
+#include "pdms/fault/access.h"
+#include "pdms/fault/fault_injector.h"
 #include "pdms/gen/workload.h"
 #include "pdms/obs/metrics.h"
+#include "pdms/qp/engine.h"
 #include "legacy_oracle.h"
 
 namespace pdms {
@@ -168,6 +173,127 @@ TEST(QpEquivalence, InsertsBetweenQueriesKeepTheEnginesAligned) {
   Outcome got = RunOne(&vectorized, workload.query);
   EXPECT_EQ(got.answers, want.answers);
   EXPECT_EQ(got.report, want.report);
+}
+
+// The distinct relations of `uq` in first-use order over (disjunct, body
+// order): the order in which the engine consults its gate.
+std::vector<std::string> FirstUseOrder(const UnionQuery& uq) {
+  std::vector<std::string> order;
+  for (const ConjunctiveQuery& cq : uq.disjuncts()) {
+    for (const Atom& a : cq.body()) {
+      if (std::find(order.begin(), order.end(), a.predicate()) ==
+          order.end()) {
+        order.push_back(a.predicate());
+      }
+    }
+  }
+  return order;
+}
+
+TEST(QpEquivalence, GateIsConsultedOncePerDistinctRelation) {
+  // StoredGate contract (eval/evaluator.h): one call per distinct plan
+  // relation per evaluation, in first-use order, whatever the verdicts —
+  // on a cold plan slot, a warm one, and with some relations vetoed.
+  for (uint64_t seed : {3u, 17u, 58u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    gen::Workload workload = MakeWorkload(seed, 6, 8);
+    Pdms pdms = MakePdms(workload, 1);
+    auto ref = pdms.Reformulate(workload.query);
+    ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+    const UnionQuery& uq = ref->rewriting;
+    ASSERT_FALSE(uq.empty());
+    const std::vector<std::string> order = FirstUseOrder(uq);
+    // Veto every third relation in first-use order (none when there are
+    // fewer than three), so later disjuncts read vetoes kept from earlier
+    // ones.
+    auto vetoed = [&](const std::string& relation) {
+      size_t at = std::find(order.begin(), order.end(), relation) -
+                  order.begin();
+      return at % 3 == 2;
+    };
+    for (bool veto : {false, true}) {
+      SCOPED_TRACE(veto ? "vetoing gate" : "open gate");
+      auto verdict = [&](const std::string& relation) {
+        return veto && vetoed(relation) ? Status::Unavailable("vetoed")
+                                        : Status::Ok();
+      };
+      auto want = EvaluateUnionDegraded(uq, workload.data, verdict);
+      ASSERT_TRUE(want.ok()) << want.status().ToString();
+      want->answers.SortCanonical();
+      qp::Engine engine;
+      qp::PhysicalPlanSlot slot;
+      for (const char* state : {"cold", "warm"}) {
+        SCOPED_TRACE(state);
+        std::vector<std::string> calls;
+        StoredGate counting = [&](const std::string& relation) {
+          calls.push_back(relation);
+          return verdict(relation);
+        };
+        auto got = engine.EvaluateUnionDegraded(uq, workload.data, counting,
+                                                nullptr, nullptr, nullptr,
+                                                &slot);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        EXPECT_EQ(calls, order);
+        EXPECT_EQ(got->answers.tuples(), want->answers.tuples());
+        EXPECT_EQ(got->disjuncts_skipped, want->disjuncts_skipped);
+        EXPECT_EQ(got->unavailable_relations, want->unavailable_relations);
+      }
+    }
+  }
+}
+
+// A facade whose every stored relation is flaky and slow, so probes retry
+// and spend the deadline's budget.
+Pdms FaultyPdms(const gen::Workload& workload, Deadline deadline) {
+  Pdms pdms = MakePdms(workload, 1);
+  pdms.set_fault_seed(11);
+  FaultProfile flaky;
+  flaky.failure_probability = 0.4;
+  flaky.latency_ms = 2.0;
+  flaky.latency_jitter_ms = 1.0;
+  for (const std::string& name : workload.data.RelationNames()) {
+    pdms.mutable_fault_injector()->SetStoredProfile(name, flaky);
+  }
+  RetryPolicy policy;
+  policy.max_attempts = 3;
+  pdms.set_retry_policy(policy);
+  pdms.set_deadline(deadline);
+  return pdms;
+}
+
+TEST(QpEquivalence, RetriesAndAMidUnionDeadlineMatchTheOracle) {
+  // An AccessController over a FaultInjector, retrying, with a deadline
+  // that runs out halfway through the union: the engine's single probe
+  // per relation must leave the same access stats, exclusions, skips and
+  // answers as the legacy evaluator's per-disjunct probes.
+  for (uint64_t seed : {3u, 17u, 104u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    gen::Workload workload = MakeWorkload(seed, 6, 8);
+    Pdms unbounded = FaultyPdms(workload, Deadline::Infinite());
+    auto full = unbounded.AnswerWithReport(workload.query);
+    ASSERT_TRUE(full.ok()) << full.status().ToString();
+    const double budget = full->degradation.access.elapsed_ms / 2;
+    ASSERT_GT(budget, 0.0);
+
+    Pdms legacy = FaultyPdms(workload, Deadline::AfterMillis(budget));
+    Pdms vectorized = FaultyPdms(workload, Deadline::AfterMillis(budget));
+    auto want = LegacyAnswerWithReport(&legacy, workload.query);
+    auto got = vectorized.AnswerWithReport(workload.query);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    const AccessStats& a = got->degradation.access;
+    const AccessStats& b = want->degradation.access;
+    EXPECT_GT(a.timeouts, 0u);   // the deadline expired...
+    EXPECT_GT(a.successes, 0u);  // ...after some relations were scanned
+    EXPECT_GT(a.retries, 0u);
+    EXPECT_EQ(a.ToString(), b.ToString());
+    EXPECT_EQ(got->degradation.excluded_stored,
+              want->degradation.excluded_stored);
+    EXPECT_EQ(got->degradation.rewritings_skipped,
+              want->degradation.rewritings_skipped);
+    EXPECT_EQ(got->degradation.ToString(), want->degradation.ToString());
+    EXPECT_EQ(Render(got).answers, Render(want).answers);
+  }
 }
 
 }  // namespace

@@ -363,6 +363,103 @@ TEST(SharedPrefix, ExecStepsCountsEachSharedPrefixOnce) {
   CheckUnion(uq, db);
 }
 
+// The step kernel reuses one intermediate buffer per trie depth and one
+// scratch set per task, so the cases below make consecutive siblings
+// differ in everything a stale buffer could leak: slot width, row count,
+// depth, and emptiness.
+
+TEST(SharedPrefix, SiblingsOfDifferentWidthsAndRowCounts) {
+  // Under the shared r scan: a 30-row, 4-slot cross product, then a
+  // filtered 3-slot join, then a 2-slot self-filter, then a wide join
+  // again — each refilling the buffer the previous sibling left behind.
+  CheckUnion(UnionQuery({Q("q(x, w) :- r(x, y), s(z, w)."),
+                         Q("q(x, z) :- r(x, y), s(y, z), z > 2."),
+                         Q("q(x, y) :- r(x, y), s(y, y)."),
+                         Q("q(x, y) :- r(x, y), s(y, 5)."),
+                         Q("q(w, x) :- r(x, y), s(z, w), t(w, v).")}),
+             HandDb());
+}
+
+TEST(SharedPrefix, DeepPathFollowedByAShallowSibling) {
+  CheckUnion(UnionQuery({Q("q(a, e) :- r(a, b), s(b, c), t(c, d), r(d, e)."),
+                         Q("q(a, d) :- r(a, b), s(b, c), t(c, d)."),
+                         Q("q(a, b) :- r(a, b), t(b, c)."),
+                         Q("q(a, c) :- r(a, b), s(b, c), r(c, d), s(d, e)."),
+                         Q("q(a, b) :- r(a, b).")}),
+             HandDb());
+}
+
+TEST(SharedPrefix, StepThatGoesEmptyAfterANonEmptySibling) {
+  // The second and third joins find no rows (a constant the dictionary
+  // never saw; a comparison nothing passes) right after a sibling that
+  // filled the same buffer, and a non-empty sibling follows them.
+  CheckUnion(UnionQuery({Q("q(x, z) :- r(x, y), s(y, z)."),
+                         Q("q(x, y) :- r(x, y), s(y, 100)."),
+                         Q("q(x, z) :- r(x, y), s(y, z), z > 100, t(z, w)."),
+                         Q("q(x, w) :- r(x, y), t(y, w)."),
+                         Q("q(x, w) :- r(x, y), s(y, 100), t(y, w).")}),
+             HandDb());
+}
+
+TEST(SharedPrefix, WarmEngineAlternatingOpenAndVetoingGates) {
+  // One engine and one plan slot, so every run after the first reuses the
+  // cached plan and marks its paths for the gate at hand: an open gate
+  // runs every path, a vetoing one only the surviving paths. Each run must
+  // match the oracle whichever came before it.
+  Database db = HandDb();
+  UnionQuery uq({Q("q(x, z) :- r(x, y), s(y, z)."),
+                 Q("q(x, z) :- r(x, y), blocked(y, z)."),
+                 Q("q(x, z) :- r(x, y), s(y, z), blocked(y, z)."),
+                 Q("q(x, z) :- blocked(x, y), t(y, z)."),
+                 Q("q(x, y) :- r(x, y), s(y, y)."),
+                 Q("q(x, y) :- r(x, y).")});
+  StoredGate open = [](const std::string&) { return Status::Ok(); };
+  StoredGate vetoing = [](const std::string& relation) {
+    return relation == "blocked" ? Status::Unavailable("gated off")
+                                 : Status::Ok();
+  };
+  for (size_t workers : {size_t{0}, size_t{2}, size_t{4}}) {
+    SCOPED_TRACE("workers " + std::to_string(workers));
+    exec::ThreadPool pool(workers);
+    exec::ThreadPool* p = workers == 0 ? nullptr : &pool;
+    Engine engine;
+    PhysicalPlanSlot slot;
+    size_t steps[3] = {0, 0, 0};  // per gate: open, vetoing, none
+    for (size_t run = 0; run < 6; ++run) {
+      SCOPED_TRACE("run " + std::to_string(run));
+      // Open, vetoing, no gate at all, and around again.
+      StoredGate gate = run % 3 == 0 ? open : run % 3 == 1 ? vetoing : nullptr;
+      auto want = EvaluateUnionDegraded(uq, db, gate);
+      ASSERT_TRUE(want.ok()) << want.status().ToString();
+      want->answers.SortCanonical();
+      obs::MetricsRegistry metrics;
+      auto got = engine.EvaluateUnionDegraded(uq, db, gate, nullptr, &metrics,
+                                              p, &slot);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(got->answers.tuples(), want->answers.tuples());
+      EXPECT_EQ(got->disjuncts_skipped, want->disjuncts_skipped);
+      EXPECT_EQ(got->unavailable_relations, want->unavailable_relations);
+      EXPECT_EQ(metrics.counter("qp.plan_reused"), run == 0 ? 0u : 1u);
+      EXPECT_EQ(metrics.counter("qp.exec_disjuncts"),
+                uq.size() - want->disjuncts_skipped);
+      // The warm run walks exactly the paths a fresh engine marks for the
+      // same gate: a vetoed disjunct's private steps are not run.
+      obs::MetricsRegistry fresh_metrics;
+      Engine fresh;
+      ASSERT_TRUE(fresh.EvaluateUnionDegraded(uq, db, gate, nullptr,
+                                              &fresh_metrics, p)
+                      .ok());
+      EXPECT_EQ(metrics.counter("qp.exec_steps"),
+                fresh_metrics.counter("qp.exec_steps"));
+      steps[run % 3] = metrics.counter("qp.exec_steps");
+    }
+    EXPECT_LT(steps[1], steps[0]);
+    EXPECT_EQ(steps[2], steps[0]);
+  }
+  CheckUnion(uq, db, vetoing);
+  CheckUnion(uq, db, open);
+}
+
 }  // namespace
 }  // namespace qp
 }  // namespace pdms

@@ -21,7 +21,11 @@
 #      8 threads, including a 95,136-node rule-goal tree, and exercises
 #      concurrent serving over shared caches (docs/parallel_execution.md);
 #      the shared-prefix suite fans a union plan's trie subtrees out over
-#      2 and 4 workers (docs/query_planning.md).
+#      2 and 4 workers, including the buffer-reuse cases (siblings of
+#      different slot widths and row counts, a deep path before a shallow
+#      sibling, a step going empty after a non-empty sibling, one warm
+#      engine alternating open and vetoing gates), where each task owns
+#      its per-depth buffers (docs/query_planning.md).
 #   7. churn gate: a 32-seed churn-DST smoke (cached and uncached twins
 #      byte-compared under live catalog churn) plus the dependency-
 #      tracked invalidation and peer-health suites, all under TSan,
@@ -43,13 +47,17 @@
 #      engine on every answering path against the tuple-at-a-time
 #      evaluator kept as its oracle), and the client-pool suite re-run
 #      under asan+ubsan and under TSan (the equivalence suite fans
-#      disjuncts out over real worker threads), the streaming-vs-oracle
+#      disjuncts out over real worker threads, and its gate-contract
+#      cases pin one gate call per distinct relation in first-use order
+#      and an AccessController whose retries run out a deadline mid-union
+#      against the oracle), the streaming-vs-oracle
 #      equivalence suite (per-rewriting engine evaluation on both
 #      plan-cache branches, early stop, gating order) and the pipeline
 #      parity suite (Pdms, streaming and SimPdms agree on answers,
 #      reports and cache counters, cold, warm and after an availability
 #      flip) and the shared-prefix suite (trie execution against
-#      per-disjunct execution and the legacy oracle) under asan+ubsan,
+#      per-disjunct execution and the legacy oracle, buffer-reuse cases
+#      included) under asan+ubsan,
 #      plus a join micro-bench smoke and a small
 #      end-to-end engine comparison whose soundness check must pass
 #      (docs/query_planning.md).
