@@ -2,89 +2,18 @@
 
 #include <algorithm>
 #include <optional>
+#include <utility>
 #include <vector>
 
 namespace pdms {
 namespace cache {
 
-namespace {
-
-// Predicates whose reachability differs between `before` and `after` —
-// appearing, disappearing, or changing depth. Depth matters: the builder
-// orders expansions by DepthRank, so a depth shift changes the emitted
-// rewriting order even when answerability is unchanged.
-void DiffReach(const std::map<std::string, size_t>& before,
-               const std::map<std::string, size_t>& after,
-               std::set<std::string>* out) {
-  for (const auto& [pred, depth] : before) {
-    auto it = after.find(pred);
-    if (it == after.end() || it->second != depth) out->insert(pred);
-  }
-  for (const auto& [pred, depth] : after) {
-    if (before.count(pred) == 0) out->insert(pred);
-  }
-}
-
-}  // namespace
-
-void ChangeAnalyzer::FillReach(const ExpansionRules& rules,
-                               const std::set<std::string>& unavailable,
-                               const std::set<std::string>& allowed,
-                               bool ignore_unavailable,
-                               std::map<std::string, size_t>* out) {
-  std::map<std::string, size_t>& reach = *out;
-  reach.clear();
-  for (const std::string& s : rules.stored) {
-    bool admitted = allowed.empty() || allowed.count(s) > 0;
-    bool usable =
-        admitted && (ignore_unavailable || unavailable.count(s) == 0);
-    if (usable) reach[s] = 0;
-  }
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (const ExpansionRules::DefRule& r : rules.rules) {
-      size_t depth = 0;
-      bool ok = true;
-      for (const Atom& b : r.rule.body()) {
-        auto it = reach.find(b.predicate());
-        if (it == reach.end()) {
-          ok = false;
-          break;
-        }
-        depth = std::max(depth, it->second);
-      }
-      if (!ok) continue;
-      const std::string& head = r.rule.head().predicate();
-      auto it = reach.find(head);
-      if (it == reach.end() || it->second > depth + 1) {
-        reach[head] = depth + 1;
-        changed = true;
-      }
-    }
-    for (const ExpansionRules::View& v : rules.views) {
-      auto hit = reach.find(v.view.head().predicate());
-      if (hit == reach.end()) continue;
-      size_t depth = hit->second + 1;
-      for (const Atom& b : v.view.body()) {
-        auto it = reach.find(b.predicate());
-        if (it == reach.end() || it->second > depth) {
-          reach[b.predicate()] = depth;
-          changed = true;
-        }
-      }
-    }
-  }
-}
-
 void ChangeAnalyzer::Snapshot(const CacheScope& scope) {
   if (!primed_ || revision_ != scope.revision) {
     rules_ = Normalize(*scope.network);
   }
-  FillReach(rules_, scope.unavailable_stored, scope.allowed_stored,
-            /*ignore_unavailable=*/false, &reach_effective_);
-  FillReach(rules_, scope.unavailable_stored, scope.allowed_stored,
-            /*ignore_unavailable=*/true, &reach_structural_);
+  reach_ = Reachability::Compute(rules_, scope.unavailable_stored,
+                                 scope.allowed_stored);
   primed_ = true;
   seq_ = scope.network->change_seq();
   revision_ = scope.revision;
@@ -142,11 +71,9 @@ ChangeAnalysis ChangeAnalyzer::Advance(const CacheScope& scope) {
     }
   }
 
-  std::map<std::string, size_t> old_effective = std::move(reach_effective_);
-  std::map<std::string, size_t> old_structural = std::move(reach_structural_);
+  Reachability before = std::move(reach_);
   Snapshot(scope);
-  DiffReach(old_effective, reach_effective_, &analysis.affected_predicates);
-  DiffReach(old_structural, reach_structural_, &analysis.affected_predicates);
+  Reachability::Diff(before, reach_, &analysis.affected_predicates);
   return analysis;
 }
 
@@ -158,8 +85,7 @@ void ChangeAnalyzer::Reset() {
   unavailable_.clear();
   allowed_.clear();
   rules_ = ExpansionRules{};
-  reach_effective_.clear();
-  reach_structural_.clear();
+  reach_ = Reachability{};
 }
 
 }  // namespace cache

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <set>
 #include <string>
 
@@ -36,13 +35,13 @@ struct ChangeAnalysis {
 /// Digests a PdmsNetwork's catalog change log into the minimal
 /// invalidation a cache must perform (docs/churn_invalidation.md). The
 /// analyzer keeps a cursor into the log plus snapshots of the normalized
-/// rules and both reachability fixpoints (effective and
-/// as-if-all-available — the tree builder consults both, and either
-/// shifting changes what a build produces). Advance() re-runs the
-/// fixpoints and diffs them, so a change deep in the topology — say a
-/// crashed peer making a distant relation unreachable — propagates to
-/// every predicate whose answerability or depth rank it moved, which the
-/// changes' direct predicates alone would miss.
+/// rules and their Reachability (the same value the tree builder
+/// consults: effective and as-if-all-available depths, either shifting
+/// changes what a build produces). Advance() recomputes it and diffs the
+/// two, so a change deep in the topology — say a crashed peer making a
+/// distant relation unreachable — propagates to every predicate whose
+/// answerability or depth rank it moved, which the changes' direct
+/// predicates alone would miss.
 ///
 /// Not thread-safe; the owning cache's mutex serializes it.
 class ChangeAnalyzer {
@@ -57,16 +56,7 @@ class ChangeAnalyzer {
   void Reset();
 
  private:
-  /// TreeBuilder::FillReachability's fixpoint, replicated over a scope's
-  /// restrictions: stored relations usable under (unavailable, allowed)
-  /// seed depth 0; rule heads and view body predicates propagate.
-  static void FillReach(const ExpansionRules& rules,
-                        const std::set<std::string>& unavailable,
-                        const std::set<std::string>& allowed,
-                        bool ignore_unavailable,
-                        std::map<std::string, size_t>* out);
-
-  /// Rebuilds rules (when the revision moved) and both reachability maps
+  /// Rebuilds rules (when the revision moved) and their reachability
   /// from `scope`, remembering the scope identity.
   void Snapshot(const CacheScope& scope);
 
@@ -77,8 +67,7 @@ class ChangeAnalyzer {
   std::set<std::string> unavailable_;
   std::set<std::string> allowed_;
   ExpansionRules rules_;
-  std::map<std::string, size_t> reach_effective_;
-  std::map<std::string, size_t> reach_structural_;
+  Reachability reach_;
 };
 
 }  // namespace cache

@@ -1,6 +1,5 @@
 #include "pdms/core/enumerate.h"
 
-#include <set>
 #include <unordered_set>
 
 #include "pdms/lang/canonical.h"
@@ -10,18 +9,20 @@ namespace pdms {
 
 namespace {
 
-// A partially assembled solution: stored atoms gathered so far, the merged
-// unifier of all chosen expansions, and the comparison predicates collected
-// along the way (required ones filter answers; granted ones are facts the
-// chosen views guarantee).
+// The solution under construction: the stored atoms gathered so far, the
+// merged unifier of all chosen expansions, and the comparison predicates
+// collected along the way (required ones filter answers; granted ones are
+// facts the chosen views guarantee). Atoms and comparisons point into the
+// tree, which outlives the enumeration. There is one partial per
+// enumeration: each level pushes what it adds and pops it on backtrack,
+// the unifier's new bindings via `trail`.
 struct Partial {
-  std::vector<Atom> atoms;
+  std::vector<const Atom*> atoms;
   Substitution sigma;
-  std::vector<Comparison> required;
-  std::vector<Comparison> granted;
+  std::vector<std::string> trail;  // sigma's variables, in binding order
+  std::vector<const Comparison*> required;
+  std::vector<const Comparison*> granted;
 };
-
-using PartialSink = std::function<bool(const Partial&)>;
 
 class Enumerator {
  public:
@@ -36,12 +37,20 @@ class Enumerator {
 
   void Run() {
     if (tree_.root == nullptr || !tree_.root->viable) return;
-    Partial empty;
-    StreamExpansion(*tree_.root, empty,
-                    [this](const Partial& p) { return EmitPartial(p); });
+    StreamExpansion(*tree_.root, nullptr);
   }
 
  private:
+  // What follows once a scope is covered: resume covering the enclosing
+  // `scope` from `mask`, then its own continuation in turn; past the root
+  // (null) the partial is complete and is emitted. Each frame lives on the
+  // stack of the StreamCover call that chose the expansion.
+  struct Continuation {
+    const ExpansionNode* scope;
+    uint64_t mask;
+    const Continuation* next;
+  };
+
   bool Budget() {
     if (stopped_) return false;
     if (options_.time_budget_ms > 0 &&
@@ -53,25 +62,35 @@ class Enumerator {
     return true;
   }
 
-  // Extends `in` with the contribution of expansion `e` (its unifier,
-  // constraints, and one solution of each covered child), passing each
-  // result to `out`. Returns false to propagate a global stop.
-  bool StreamExpansion(const ExpansionNode& e, const Partial& in,
-                       const PartialSink& out) {
+  // Extends the partial with the contribution of expansion `e` (its
+  // unifier, constraints, and one solution of each covered child), then
+  // runs `k` on each result. Returns false to propagate a global stop.
+  bool StreamExpansion(const ExpansionNode& e, const Continuation* k) {
     if (!Budget()) return false;
-    Partial p = in;
-    if (!p.sigma.Merge(e.unifier)) return true;  // incompatible: skip
-    for (const Comparison& c : e.required_constraints.comparisons()) {
-      p.required.push_back(c);
+    const size_t trail = partial_.trail.size();
+    const size_t required = partial_.required.size();
+    const size_t granted = partial_.granted.size();
+    bool keep_going = true;
+    if (partial_.sigma.Merge(e.unifier, &partial_.trail)) {
+      for (const Comparison& c : e.required_constraints.comparisons()) {
+        partial_.required.push_back(&c);
+      }
+      for (const Comparison& c : e.granted_constraints.comparisons()) {
+        partial_.granted.push_back(&c);
+      }
+      keep_going = StreamCover(e, 0, k);
+    }  // else incompatible: skip
+    while (partial_.trail.size() > trail) {
+      partial_.sigma.Unbind(partial_.trail.back());
+      partial_.trail.pop_back();
     }
-    for (const Comparison& c : e.granted_constraints.comparisons()) {
-      p.granted.push_back(c);
-    }
-    return StreamCover(e, 0, p, out);
+    partial_.required.resize(required);
+    partial_.granted.resize(granted);
+    return keep_going;
   }
 
-  bool StreamCover(const ExpansionNode& e, uint64_t mask, const Partial& in,
-                   const PartialSink& out) {
+  bool StreamCover(const ExpansionNode& e, uint64_t mask,
+                   const Continuation* k) {
     if (!Budget()) return false;
     PDMS_CHECK(e.children.size() <= 64);
     uint64_t universe =
@@ -80,14 +99,18 @@ class Enumerator {
             : (e.children.size() == 64
                    ? ~uint64_t{0}
                    : (uint64_t{1} << e.children.size()) - 1);
-    if ((mask & universe) == universe) return out(in);
+    if ((mask & universe) == universe) {
+      return k == nullptr ? EmitPartial()
+                          : StreamCover(*k->scope, k->mask, k->next);
+    }
     size_t i = 0;
     while ((mask >> i) & 1) ++i;
     const GoalNode& child = *e.children[i];
     if (child.is_stored) {
-      Partial p = in;
-      p.atoms.push_back(child.label);
-      return StreamCover(e, mask | (uint64_t{1} << i), p, out);
+      partial_.atoms.push_back(&child.label);
+      bool keep_going = StreamCover(e, mask | (uint64_t{1} << i), k);
+      partial_.atoms.pop_back();
+      return keep_going;
     }
     if (!child.viable) return true;  // dead end: this scope yields nothing
     for (const auto& exp : child.expansions) {
@@ -98,26 +121,23 @@ class Enumerator {
       } else {
         for (size_t u : exp->unc) newmask |= uint64_t{1} << u;
       }
-      bool keep_going =
-          StreamExpansion(*exp, in, [&](const Partial& p) {
-            return StreamCover(e, newmask, p, out);
-          });
-      if (!keep_going) return false;
+      const Continuation next{&e, newmask, k};
+      if (!StreamExpansion(*exp, &next)) return false;
     }
     return true;
   }
 
   // Turns a complete partial into a conjunctive rewriting; returns false to
   // stop the whole enumeration (budget hit or sink refused).
-  bool EmitPartial(const Partial& p) {
+  bool EmitPartial() {
     if (!Budget()) return false;
-    const Substitution& sigma = p.sigma;
+    const Substitution& sigma = partial_.sigma;
     Atom head = sigma.Apply(tree_.query.head());
     std::vector<Atom> atoms;
-    atoms.reserve(p.atoms.size());
+    atoms.reserve(partial_.atoms.size());
     std::unordered_set<std::string> available;
-    for (const Atom& a : p.atoms) {
-      Atom mapped = sigma.Apply(a);
+    for (const Atom* a : partial_.atoms) {
+      Atom mapped = sigma.Apply(*a);
       std::vector<std::string> vars;
       CollectVariables(mapped, &vars);
       available.insert(vars.begin(), vars.end());
@@ -132,13 +152,13 @@ class Enumerator {
     }
     // Granted constraints (facts the chosen views guarantee).
     ConstraintSet granted;
-    for (const Comparison& c : p.granted) granted.Add(sigma.Apply(c));
+    for (const Comparison* c : partial_.granted) granted.Add(sigma.Apply(*c));
     // Required constraints: keep the expressible ones; the rest must be
     // implied by the granted facts, else the combination is unsound to
     // emit and is dropped.
     std::vector<Comparison> kept;
-    for (const Comparison& c : p.required) {
-      Comparison mapped = sigma.Apply(c);
+    for (const Comparison* c : partial_.required) {
+      Comparison mapped = sigma.Apply(*c);
       bool expressible = true;
       for (const Term* t : {&mapped.lhs, &mapped.rhs}) {
         if (t->is_variable() && available.count(t->var_name()) == 0) {
@@ -194,7 +214,8 @@ class Enumerator {
   ReformulationStats* stats_;
   const RewritingSink& sink_;
   bool stopped_ = false;
-  std::set<std::string> seen_;
+  Partial partial_;
+  std::unordered_set<std::string> seen_;  // CanonicalQueryKey of each emitted
 };
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include "pdms/core/normalize.h"
 
+#include <string_view>
+
 #include "pdms/util/strings.h"
 
 namespace pdms {
@@ -98,6 +100,117 @@ ExpansionRules Normalize(const PdmsNetwork& network) {
     out.rules_by_head[out.rules[i].rule.head().predicate()].push_back(i);
   }
   return out;
+}
+
+Reachability Reachability::Compute(const ExpansionRules& rules,
+                                   const std::set<std::string>& unavailable,
+                                   const std::set<std::string>& allowed) {
+  // Intern every predicate once, stored relations first, then run the
+  // fixpoint as a breadth-first walk over ids: a predicate is reached at
+  // depth d from one reached at d-1, so the first visit is the least depth
+  // (the walk pops depths in nondecreasing order, and a rule fires when
+  // its deepest body predicate pops).
+  std::unordered_map<std::string_view, uint32_t> ids;
+  std::vector<std::string_view> names;
+  auto id = [&](const std::string& predicate) {
+    auto [it, inserted] = ids.emplace(predicate, names.size());
+    if (inserted) names.push_back(predicate);
+    return it->second;
+  };
+  for (const std::string& s : rules.stored) id(s);
+  for (const ExpansionRules::DefRule& r : rules.rules) {
+    id(r.rule.head().predicate());
+    for (const Atom& b : r.rule.body()) id(b.predicate());
+  }
+  for (const ExpansionRules::View& v : rules.views) {
+    id(v.view.head().predicate());
+    for (const Atom& b : v.view.body()) id(b.predicate());
+  }
+  // Per rule: its head and how many distinct body predicates it awaits.
+  // Per predicate: the rules awaiting it, and the body predicates of the
+  // views it heads.
+  std::vector<uint32_t> rule_head(rules.rules.size());
+  std::vector<uint32_t> rule_waits(rules.rules.size(), 0);
+  std::vector<std::vector<uint32_t>> awaiting(names.size());
+  std::vector<std::vector<uint32_t>> view_bodies(names.size());
+  for (size_t r = 0; r < rules.rules.size(); ++r) {
+    const Rule& rule = rules.rules[r].rule;
+    rule_head[r] = id(rule.head().predicate());
+    for (const Atom& b : rule.body()) {
+      std::vector<uint32_t>& rules_of = awaiting[id(b.predicate())];
+      if (rules_of.empty() || rules_of.back() != r) {
+        rules_of.push_back(static_cast<uint32_t>(r));
+        ++rule_waits[r];
+      }
+    }
+  }
+  for (const ExpansionRules::View& v : rules.views) {
+    std::vector<uint32_t>& body = view_bodies[id(v.view.head().predicate())];
+    for (const Atom& b : v.view.body()) body.push_back(id(b.predicate()));
+  }
+
+  auto walk = [&](bool ignore_unavailable) {
+    std::vector<size_t> depth(names.size(), SIZE_MAX);
+    std::vector<uint32_t> waits = rule_waits;
+    std::vector<uint32_t> queue;
+    auto reach = [&](uint32_t p, size_t d) {
+      if (depth[p] != SIZE_MAX) return;
+      depth[p] = d;
+      queue.push_back(p);
+    };
+    for (const std::string& s : rules.stored) {
+      bool admitted = allowed.empty() || allowed.count(s) > 0;
+      if (admitted && (ignore_unavailable || unavailable.count(s) == 0)) {
+        reach(ids.at(s), 0);
+      }
+    }
+    for (size_t r = 0; r < waits.size(); ++r) {
+      if (waits[r] == 0) reach(rule_head[r], 1);  // an empty body
+    }
+    for (size_t next = 0; next < queue.size(); ++next) {
+      uint32_t p = queue[next];
+      size_t d = depth[p];
+      for (uint32_t b : view_bodies[p]) reach(b, d + 1);
+      for (uint32_t r : awaiting[p]) {
+        if (--waits[r] == 0) reach(rule_head[r], d + 1);
+      }
+    }
+    return depth;
+  };
+  std::vector<size_t> structural = walk(/*ignore_unavailable=*/true);
+  std::vector<size_t> effective =
+      unavailable.empty() ? structural : walk(/*ignore_unavailable=*/false);
+
+  Reachability out;
+  for (size_t p = 0; p < names.size(); ++p) {
+    if (structural[p] == SIZE_MAX) continue;
+    out.depths_.emplace(std::string(names[p]),
+                        Depths{effective[p], structural[p]});
+  }
+  return out;
+}
+
+size_t Reachability::Depth(const std::string& predicate) const {
+  auto it = depths_.find(predicate);
+  return it == depths_.end() ? SIZE_MAX : it->second.effective;
+}
+
+bool Reachability::DeadOnlyByAvailability(const std::string& predicate) const {
+  auto it = depths_.find(predicate);
+  return it != depths_.end() && it->second.effective == SIZE_MAX;
+}
+
+void Reachability::Diff(const Reachability& before, const Reachability& after,
+                        std::set<std::string>* out) {
+  for (const auto& [predicate, depths] : before.depths_) {
+    auto it = after.depths_.find(predicate);
+    if (it == after.depths_.end() || it->second != depths) {
+      out->insert(predicate);
+    }
+  }
+  for (const auto& [predicate, depths] : after.depths_) {
+    if (before.depths_.count(predicate) == 0) out->insert(predicate);
+  }
 }
 
 std::string ExpansionRules::ToString() const {

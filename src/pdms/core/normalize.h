@@ -1,6 +1,7 @@
 #ifndef PDMS_CORE_NORMALIZE_H_
 #define PDMS_CORE_NORMALIZE_H_
 
+#include <cstdint>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -63,6 +64,57 @@ struct ExpansionRules {
 /// Compiles the network. Fresh V predicates are drawn as `_V<k>` and cannot
 /// collide with parsed relation names.
 ExpansionRules Normalize(const PdmsNetwork& network);
+
+/// Section 4.3's "detection of dead ends" over one normalization and one
+/// pair of source restrictions: per predicate, the minimal number of
+/// expansion levels to reach a usable stored relation. A stored relation
+/// usable under (`unavailable`, `allowed`) has depth 0; a rule head is one
+/// level above its deepest body predicate; a view's body predicates are
+/// one level above its head. This ignores bindings and the reuse guard, so
+/// it over-approximates, which is exactly what sound pruning needs.
+///
+/// Two depths are kept per predicate: the effective one and a structural
+/// one computed as if every source were available. A predicate with only
+/// the latter is dead *because of* unavailability, so the tree builder
+/// reports its pruning as degradation rather than as a structural dead
+/// end. The value depends only on the normalization and the two sets, so
+/// the Reformulator keeps one per (unavailable, allowed) key and the cache
+/// analyzers diff two of them.
+class Reachability {
+ public:
+  Reachability() = default;
+  static Reachability Compute(const ExpansionRules& rules,
+                              const std::set<std::string>& unavailable,
+                              const std::set<std::string>& allowed);
+
+  /// Effective depth; SIZE_MAX when the predicate is unanswerable.
+  size_t Depth(const std::string& predicate) const;
+  bool Answerable(const std::string& predicate) const {
+    return Depth(predicate) != SIZE_MAX;
+  }
+  /// True if `predicate` is unanswerable but would be answerable were
+  /// every source available.
+  bool DeadOnlyByAvailability(const std::string& predicate) const;
+
+  /// Adds to `out` every predicate whose effective or structural depth
+  /// differs between `before` and `after` (appearing, disappearing or
+  /// moving: depth drives expansion order, so a move changes the emitted
+  /// rewriting order even when answerability does not).
+  static void Diff(const Reachability& before, const Reachability& after,
+                   std::set<std::string>* out);
+
+ private:
+  struct Depths {
+    size_t effective = SIZE_MAX;
+    size_t structural = SIZE_MAX;
+    bool operator!=(const Depths& o) const {
+      return effective != o.effective || structural != o.structural;
+    }
+  };
+  // Structurally reachable predicates only; the effective set is a subset
+  // (fewer seeds), so one entry answers both questions.
+  std::unordered_map<std::string, Depths> depths_;
+};
 
 }  // namespace pdms
 

@@ -10,8 +10,26 @@ Reformulator::Reformulator(const PdmsNetwork& network,
                            ReformulationOptions options)
     : rules_(Normalize(network)), options_(options) {}
 
+const Reachability& Reformulator::ReachabilityFor(
+    const ReformulationOptions& options, bool* computed) {
+  *computed = !reach_.has_value() ||
+              reach_unavailable_ != options.unavailable_stored ||
+              reach_allowed_ != options.allowed_stored;
+  if (*computed) {
+    reach_ = Reachability::Compute(rules_, options.unavailable_stored,
+                                   options.allowed_stored);
+    reach_unavailable_ = options.unavailable_stored;
+    reach_allowed_ = options.allowed_stored;
+    if (options.metrics != nullptr) {
+      options.metrics->Add("reform.reachability_computed");
+    }
+  }
+  return *reach_;
+}
+
 Result<RuleGoalTree> Reformulator::BuildTree(const ConjunctiveQuery& query) {
-  TreeBuilder builder(rules_, options_);
+  bool computed = false;
+  TreeBuilder builder(rules_, ReachabilityFor(options_, &computed), options_);
   return builder.Build(query);
 }
 
@@ -68,7 +86,10 @@ Result<ReformulationResult> Reformulator::ReformulateStreaming(
 
   WallTimer timer;
   obs::ScopedSpan build_span(trace, "build_tree");
-  TreeBuilder builder(rules_, options);
+  bool reach_computed = false;
+  const Reachability& reach = ReachabilityFor(options, &reach_computed);
+  build_span.Set("reach", reach_computed ? "computed" : "memo");
+  TreeBuilder builder(rules_, reach, options);
   PDMS_ASSIGN_OR_RETURN(RuleGoalTree tree, builder.Build(query));
   tree.stats.build_ms = timer.ElapsedMillis();
   build_span.Set("nodes", static_cast<uint64_t>(tree.stats.total_nodes()));

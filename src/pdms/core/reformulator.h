@@ -3,6 +3,9 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
+#include <set>
+#include <string>
 
 #include "pdms/core/enumerate.h"
 #include "pdms/core/network.h"
@@ -70,8 +73,20 @@ class Reformulator {
   }
 
  private:
+  /// The reachability of the normalization under `options`' source
+  /// restrictions: the kept value while (unavailable_stored,
+  /// allowed_stored) matches the last key, else recomputed (counted in
+  /// `reform.reachability_computed`). `*computed` says which.
+  const Reachability& ReachabilityFor(const ReformulationOptions& options,
+                                      bool* computed);
+
   ExpansionRules rules_;
   ReformulationOptions options_;
+  // The last reachability and the key it was computed under. Not
+  // synchronized: each facade owns its Reformulator.
+  std::optional<Reachability> reach_;
+  std::set<std::string> reach_unavailable_;
+  std::set<std::string> reach_allowed_;
 };
 
 }  // namespace pdms

@@ -251,96 +251,23 @@ std::string RuleGoalTree::ToString() const {
 }
 
 TreeBuilder::TreeBuilder(const ExpansionRules& rules,
+                         const Reachability& reach,
                          ReformulationOptions options)
-    : rules_(rules), options_(options) {
-  ComputeReachability();
-}
+    : rules_(rules), reach_(reach), options_(options) {}
 
-void TreeBuilder::ComputeReachability() {
-  FillReachability(/*ignore_unavailable=*/false, &reach_depth_);
-  if (options_.unavailable_stored.empty()) {
-    reach_structural_ = reach_depth_;
-  } else {
-    // A second map that pretends every source is up. A predicate reachable
-    // here but not in reach_depth_ is dead *because of* unavailability, so
-    // its pruning is reported as degradation rather than a structural
-    // dead end.
-    FillReachability(/*ignore_unavailable=*/true, &reach_structural_);
-  }
-}
-
-void TreeBuilder::FillReachability(bool ignore_unavailable,
-                                   std::map<std::string, size_t>* out) {
-  // Fixpoint: a predicate is answerable at depth d if it is stored (d = 0),
-  // the head of a rule whose body is answerable, or occurs in the body of a
-  // view whose head predicate is answerable. This ignores bindings and the
-  // reuse guard, so it over-approximates — exactly what sound dead-end
-  // pruning needs.
-  std::map<std::string, size_t>& reach = *out;
-  reach.clear();
-  for (const std::string& s : rules_.stored) {
-    bool usable = ignore_unavailable
-                      ? (options_.allowed_stored.empty() ||
-                         options_.allowed_stored.count(s) > 0)
-                      : IsUsableStored(s);
-    if (usable) reach[s] = 0;
-  }
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (const ExpansionRules::DefRule& r : rules_.rules) {
-      size_t depth = 0;
-      bool ok = true;
-      for (const Atom& b : r.rule.body()) {
-        auto it = reach.find(b.predicate());
-        if (it == reach.end()) {
-          ok = false;
-          break;
-        }
-        depth = std::max(depth, it->second);
-      }
-      if (!ok) continue;
-      const std::string& head = r.rule.head().predicate();
-      auto it = reach.find(head);
-      if (it == reach.end() || it->second > depth + 1) {
-        reach[head] = depth + 1;
-        changed = true;
-      }
-    }
-    for (const ExpansionRules::View& v : rules_.views) {
-      auto hit = reach.find(v.view.head().predicate());
-      if (hit == reach.end()) continue;
-      size_t depth = hit->second + 1;
-      for (const Atom& b : v.view.body()) {
-        auto it = reach.find(b.predicate());
-        if (it == reach.end() || it->second > depth) {
-          reach[b.predicate()] = depth;
-          changed = true;
-        }
-      }
-    }
-  }
-}
-
-bool TreeBuilder::Answerable(const std::string& predicate) const {
-  return reach_depth_.count(predicate) > 0;
-}
-
-bool TreeBuilder::DeadOnlyByAvailability(const std::string& predicate) const {
-  return reach_depth_.count(predicate) == 0 &&
-         reach_structural_.count(predicate) > 0;
-}
+TreeBuilder::TreeBuilder(const ExpansionRules& rules,
+                         ReformulationOptions options)
+    : rules_(rules),
+      owned_reach_(Reachability::Compute(rules, options.unavailable_stored,
+                                         options.allowed_stored)),
+      reach_(*owned_reach_),
+      options_(options) {}
 
 bool TreeBuilder::IsUsableStored(const std::string& predicate) const {
   if (rules_.stored.count(predicate) == 0) return false;
   if (options_.unavailable_stored.count(predicate) > 0) return false;
   return options_.allowed_stored.empty() ||
          options_.allowed_stored.count(predicate) > 0;
-}
-
-size_t TreeBuilder::DepthRank(const std::string& predicate) const {
-  auto it = reach_depth_.find(predicate);
-  return it == reach_depth_.end() ? SIZE_MAX : it->second;
 }
 
 Result<RuleGoalTree> TreeBuilder::Build(const ConjunctiveQuery& query) {
@@ -410,7 +337,8 @@ void TreeBuilder::BuildScope(const ScopeContext& ctx) {
               size_t worst = 0;
               double cost = 0;
               for (const auto& g : e.children) {
-                size_t r = g->is_stored ? 0 : DepthRank(g->label.predicate());
+                size_t r =
+                    g->is_stored ? 0 : reach_.Depth(g->label.predicate());
                 worst = std::max(worst, r);
                 if (est != nullptr && g->is_stored) {
                   cost = std::max(cost,
@@ -447,8 +375,8 @@ void TreeBuilder::ExpandGoal(const ScopeContext& ctx, GoalNode* goal) {
     goal_span.Set("pruned", "unavailable");
     return;
   }
-  if (options_.prune_dead_ends && !Answerable(pred)) {
-    if (DeadOnlyByAvailability(pred)) {
+  if (options_.prune_dead_ends && !reach_.Answerable(pred)) {
+    if (reach_.DeadOnlyByAvailability(pred)) {
       ++stats_->pruned_unavailable;
       goal_span.Set("pruned", "unavailable");
     } else {
@@ -592,9 +520,9 @@ bool TreeBuilder::TryDefinitionalCandidate(GoalNode* goal,
     bool dead = false;
     bool only_availability = true;
     for (const Atom& b : renamed.body()) {
-      if (!Answerable(b.predicate())) {
+      if (!reach_.Answerable(b.predicate())) {
         dead = true;
-        if (!DeadOnlyByAvailability(b.predicate())) {
+        if (!reach_.DeadOnlyByAvailability(b.predicate())) {
           only_availability = false;
           break;
         }
@@ -650,8 +578,9 @@ bool TreeBuilder::TryInclusionCandidate(const ScopeContext& ctx,
     view_span.Set("pruned", "reuse_guard");
     return true;
   }
-  if (options_.prune_dead_ends && !Answerable(vw.view.head().predicate())) {
-    if (DeadOnlyByAvailability(vw.view.head().predicate())) {
+  const std::string& head = vw.view.head().predicate();
+  if (options_.prune_dead_ends && !reach_.Answerable(head)) {
+    if (reach_.DeadOnlyByAvailability(head)) {
       ++stats_->pruned_unavailable;
       view_span.Set("pruned", "unavailable");
     } else {

@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -332,6 +333,12 @@ struct RuleGoalTree {
 /// guard; the node budget in `options` bounds worst-case blowup.
 class TreeBuilder {
  public:
+  /// `reach` must be Reachability::Compute(rules, options.unavailable_stored,
+  /// options.allowed_stored); borrowed for the builder's lifetime (the
+  /// Reformulator keeps one per network state).
+  TreeBuilder(const ExpansionRules& rules, const Reachability& reach,
+              ReformulationOptions options);
+  /// A standalone builder that computes its own reachability.
   TreeBuilder(const ExpansionRules& rules, ReformulationOptions options);
 
   Result<RuleGoalTree> Build(const ConjunctiveQuery& query);
@@ -355,14 +362,9 @@ class TreeBuilder {
                              const ExpansionRules::View& vw,
                              const std::vector<Atom>& siblings,
                              const Atom& iface);
-  bool Answerable(const std::string& predicate) const;
-  // True if `predicate` would be answerable were every source available —
-  // i.e. its deadness is caused by unavailability, not by the topology.
-  bool DeadOnlyByAvailability(const std::string& predicate) const;
   // True if `predicate` is a stored relation the caller allows rewritings
   // to use (honors ReformulationOptions::allowed_stored).
   bool IsUsableStored(const std::string& predicate) const;
-  size_t DepthRank(const std::string& predicate) const;
   // Cross-query goal memo (options_.goal_memo). Memoization is restricted
   // to single-child scopes: an MCD may cover sibling goals, so a subtree
   // is positionally reusable only when the scope has no siblings. The key
@@ -380,12 +382,11 @@ class TreeBuilder {
                             const ScopeContext& ctx, GoalNode* goal);
   void StoreGoalSubtree(const std::string& key, const ScopeContext& ctx,
                         const GoalNode& goal, const DepSet& deps);
-  void ComputeReachability();
-  void FillReachability(bool ignore_unavailable,
-                        std::map<std::string, size_t>* out);
   void MarkViability(ExpansionNode* scope);
 
   const ExpansionRules& rules_;
+  std::optional<Reachability> owned_reach_;  // standalone builders only
+  const Reachability& reach_;
   ReformulationOptions options_;
   VariableFactory fresh_{"_t"};
   // Per-build state of the depth-first walk.
@@ -397,12 +398,6 @@ class TreeBuilder {
   // expands it points at a local set so the subtree's footprint can be
   // captured for the memo entry (then merged into the enclosing recorder).
   DepSet* deps_ = nullptr;
-  // predicate -> minimal #expansion-levels to reach stored relations;
-  // absent = unanswerable.
-  std::map<std::string, size_t> reach_depth_;
-  // Same fixpoint computed as if every source were available, used to
-  // attribute dead ends to unavailability in the stats.
-  std::map<std::string, size_t> reach_structural_;
 };
 
 }  // namespace pdms

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <utility>
 
 #include "pdms/util/check.h"
 
@@ -22,18 +23,19 @@ Term Substitution::Resolve(const Term& term) const {
 }
 
 bool Substitution::UnifyTerms(const Term& a, const Term& b) {
+  return Unify(a, b, nullptr);
+}
+
+bool Substitution::Unify(const Term& a, const Term& b,
+                         std::vector<std::string>* trail) {
   Term x = Resolve(a);
   Term y = Resolve(b);
   if (x == y) return true;
-  if (x.is_variable()) {
-    map_.emplace(x.var_name(), y);
-    return true;
-  }
-  if (y.is_variable()) {
-    map_.emplace(y.var_name(), x);
-    return true;
-  }
-  return false;  // distinct constants
+  if (!x.is_variable() && !y.is_variable()) return false;  // two constants
+  if (!x.is_variable()) std::swap(x, y);
+  if (trail != nullptr) trail->push_back(x.var_name());
+  map_.emplace(x.var_name(), std::move(y));
+  return true;
 }
 
 bool Substitution::UnifyAtoms(const Atom& a, const Atom& b) {
@@ -44,9 +46,10 @@ bool Substitution::UnifyAtoms(const Atom& a, const Atom& b) {
   return true;
 }
 
-bool Substitution::Merge(const Substitution& other) {
+bool Substitution::Merge(const Substitution& other,
+                         std::vector<std::string>* trail) {
   for (const auto& [var, target] : other.map_) {
-    if (!UnifyTerms(Term::Var(var), target)) return false;
+    if (!Unify(Term::Var(var), target, trail)) return false;
   }
   return true;
 }

@@ -35,8 +35,14 @@ class Substitution {
   bool UnifyAtoms(const Atom& a, const Atom& b);
 
   /// Merges another substitution into this one by unifying each of its
-  /// bindings; returns false on conflict.
-  bool Merge(const Substitution& other);
+  /// bindings; returns false on conflict. With `trail`, each variable it
+  /// binds (also those bound before a conflict) is appended there, so a
+  /// backtracking caller can undo the merge with Unbind instead of
+  /// copying the substitution first.
+  bool Merge(const Substitution& other,
+             std::vector<std::string>* trail = nullptr);
+  /// Drops the binding of `var` — the undo of one trail entry.
+  void Unbind(const std::string& var) { map_.erase(var); }
 
   /// Applies the substitution (with chain resolution).
   Term Apply(const Term& term) const { return Resolve(term); }
@@ -61,6 +67,9 @@ class Substitution {
   std::string ToString() const;
 
  private:
+  // UnifyTerms, recording a new binding's variable in `*trail` if non-null.
+  bool Unify(const Term& a, const Term& b, std::vector<std::string>* trail);
+
   std::unordered_map<std::string, Term> map_;
 };
 

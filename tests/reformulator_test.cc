@@ -6,12 +6,17 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "pdms/core/pdms.h"
+#include "pdms/gen/workload.h"
 #include "pdms/lang/homomorphism.h"
 #include "pdms/lang/parser.h"
+#include "pdms/obs/metrics.h"
+#include "pdms/obs/trace.h"
 
 namespace pdms {
 namespace {
@@ -322,6 +327,85 @@ TEST(Reformulator, StatsCountNodes) {
   EXPECT_GE(result->stats.rewritings, 2u);
   EXPECT_EQ(result->stats.time_to_rewriting_ms.size(),
             result->stats.rewritings);
+}
+
+// The reachability a Reformulator keeps across queries must give the same
+// tree a fresh one builds, under every source restriction, and is
+// recomputed exactly when (unavailable_stored, allowed_stored) changes.
+TEST(Reformulator, ReachabilityIsKeptPerSourceRestriction) {
+  gen::WorkloadConfig config;
+  config.num_peers = 24;
+  config.num_strata = 3;
+  config.definitional_fraction = 0.25;
+  config.unprovided_fraction = 0.2;
+  config.seed = 9;
+  auto w = gen::GenerateWorkload(config);
+  ASSERT_TRUE(w.ok()) << w.status().ToString();
+  auto first = Reformulator(w->network).Reformulate(w->query);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_FALSE(first->rewriting.empty());
+  const std::string down =
+      first->rewriting.disjuncts()[0].body()[0].predicate();
+
+  ReformulationOptions plain;
+  ReformulationOptions unavailable;
+  unavailable.unavailable_stored = {down};
+  ReformulationOptions allowed;
+  for (const std::string& s : w->network.StoredRelationNames()) {
+    if (s != down) allowed.allowed_stored.insert(s);
+  }
+  struct Step {
+    const char* name;
+    ReformulationOptions options;
+    bool key_changes;
+  };
+  const std::vector<Step> steps = {
+      {"plain", plain, true},
+      {"plain again", plain, false},
+      {"unavailable", unavailable, true},
+      {"allowed", allowed, true},
+      {"back to plain", plain, true},
+      {"back to unavailable", unavailable, true},
+  };
+
+  Reformulator kept(w->network);
+  obs::MetricsRegistry metrics;
+  uint64_t computed = 0;
+  bool pruned_unavailable = false;
+  for (const Step& step : steps) {
+    SCOPED_TRACE(step.name);
+    ReformulationOptions options = step.options;
+    options.metrics = &metrics;
+    kept.set_options(options);
+    auto got = kept.BuildTree(w->query);
+    auto want = Reformulator(w->network, step.options).BuildTree(w->query);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    EXPECT_EQ(got->ToString(), want->ToString());
+    EXPECT_EQ(got->stats.pruned_dead, want->stats.pruned_dead);
+    EXPECT_EQ(got->stats.pruned_unavailable, want->stats.pruned_unavailable);
+    EXPECT_EQ(got->stats.excluded_stored, want->stats.excluded_stored);
+    if (step.key_changes) ++computed;
+    EXPECT_EQ(metrics.counter("reform.reachability_computed"), computed);
+    if (got->stats.pruned_unavailable > 0) pruned_unavailable = true;
+
+    // The full reformulation shares the kept value and says so on its
+    // build_tree span.
+    obs::TraceContext trace;
+    options.trace = &trace;
+    ASSERT_TRUE(kept.Reformulate(w->query, options).ok());
+    EXPECT_EQ(metrics.counter("reform.reachability_computed"), computed);
+    bool tagged = false;
+    for (const obs::Span& span : trace.spans()) {
+      if (span.name != "build_tree") continue;
+      const std::string* reach = span.FindAttribute("reach");
+      ASSERT_NE(reach, nullptr);
+      EXPECT_EQ(*reach, "memo");
+      tagged = true;
+    }
+    EXPECT_TRUE(tagged);
+  }
+  EXPECT_TRUE(pruned_unavailable);
 }
 
 }  // namespace

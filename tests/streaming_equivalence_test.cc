@@ -12,7 +12,9 @@
 //    counters and the answers equal a replay of the legacy streaming
 //    evaluation (first-veto gating per rewriting, then EvaluateCQ);
 //  - every rewriting's `join` span carries `atoms` and the same `answers`
-//    count the legacy evaluator finds for that rewriting.
+//    count the legacy evaluator finds for that rewriting;
+//  - nothing a stream builds outlives its call: a fact inserted between
+//    two streams joins in the second.
 
 #include <cstddef>
 #include <map>
@@ -346,6 +348,58 @@ TEST(StreamingEquivalence, JoinSpansKeepAtomsAndPerRewritingAnswers) {
       EXPECT_EQ(got, want.joins);
     }
   }
+}
+
+TEST(StreamingEquivalence, AFactInsertedBetweenStreamsJoinsInTheNext) {
+  // Two replicas of R make two rewritings that join the same S. With
+  // equal sizes the planner scans the replica and builds the hash table
+  // on s in both.
+  Pdms pdms;
+  ASSERT_TRUE(pdms.LoadProgram(R"(
+    peer A { relation R(x, y); relation S(y, z); }
+    stored r1(x, y) <= A:R(x, y).
+    stored r2(x, y) <= A:R(x, y).
+    stored s(y, z) <= A:S(y, z).
+    fact r1(1, 10).
+    fact r1(2, 20).
+    fact r1(3, 50).
+    fact r2(3, 10).
+    fact r2(4, 30).
+    fact r2(6, 60).
+    fact s(10, 100).
+    fact s(20, 200).
+    fact s(40, 400).
+  )").ok());
+  auto query = pdms.ParseQuery("q(x, z) :- A:R(x, y), A:S(y, z).");
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  auto oracle = [&] {
+    World world{"join", pdms.network(), pdms.database(), {*query}};
+    return Oracle(world, *query);
+  };
+
+  const std::string before = StreamAll(&pdms, *query);
+  EXPECT_EQ(before, oracle());
+
+  // s(60, 600) joins r2(6, 60): a join table on s kept past the first
+  // call would miss it. One more row in each replica keeps the sizes
+  // tied, so the second call builds its table on s again.
+  ASSERT_TRUE(pdms.Insert("s", {Value::Int(60), Value::Int(600)}).ok());
+  ASSERT_TRUE(pdms.Insert("r1", {Value::Int(7), Value::Int(70)}).ok());
+  ASSERT_TRUE(pdms.Insert("r2", {Value::Int(8), Value::Int(80)}).ok());
+  const std::string after = StreamAll(&pdms, *query);
+  EXPECT_EQ(after, oracle());
+  EXPECT_NE(after, before);
+  EXPECT_NE(after.find("600"), std::string::npos) << after;
+
+  // Stopping after the first answer delivers exactly one.
+  Relation delivered(query->head().predicate(), query->head().arity());
+  auto first = pdms.AnswerStreaming(*query, [&](const Tuple& t) {
+    EXPECT_TRUE(delivered.Insert(t));
+    return false;
+  });
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(delivered.size(), 1u);
+  EXPECT_EQ(first->size(), 1u);
 }
 
 }  // namespace

@@ -8,7 +8,8 @@
 #      The nightly-sized run is tools/dst.sh, which defaults to 256 seeds.
 #   4. trace-export smoke: one instrumented Figure-3 reformulation dumped
 #      as Chrome-trace JSON; the file must parse and contain reformulation
-#      spans (docs/observability.md).
+#      spans (docs/observability.md). Beside it, a one-run Figure-4 smoke
+#      (diameters 1-5) drives the step-3 enumerator end to end.
 #   5. cache-coherence smoke: warm the plan cache, mutate the network
 #      (availability flip + mapping edit), re-query; the invalidation
 #      counter must advance and answers must match a never-cached
@@ -52,7 +53,8 @@
 #      and an AccessController whose retries run out a deadline mid-union
 #      against the oracle), the streaming-vs-oracle
 #      equivalence suite (per-rewriting engine evaluation on both
-#      plan-cache branches, early stop, gating order) and the pipeline
+#      plan-cache branches, early stop, gating order, a fact inserted
+#      between two streams joining in the second) and the pipeline
 #      parity suite (Pdms, streaming and SimPdms agree on answers,
 #      reports and cache counters, cold, warm and after an availability
 #      flip) and the shared-prefix suite (trie execution against
@@ -96,6 +98,8 @@ echo "== [4/11] trace-export smoke =="
 TRACE_FILE="${BUILD_DIR}/ci_trace.json"
 PDMS_BENCH_RUNS=1 PDMS_BENCH_MAX_DIAMETER=1 \
   "${BUILD_DIR}/bench/fig3_tree_size" --trace "${TRACE_FILE}" > /dev/null
+PDMS_BENCH_RUNS=1 PDMS_BENCH_MAX_DIAMETER=5 \
+  "${BUILD_DIR}/bench/fig4_time_to_rewritings" > /dev/null
 if command -v python3 > /dev/null 2>&1; then
   python3 - "${TRACE_FILE}" <<'EOF'
 import json, sys
