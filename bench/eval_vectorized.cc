@@ -142,12 +142,12 @@ Point MeasurePoint(size_t peers, size_t strata, size_t facts, size_t domain,
     qp::Engine engine;
     qp::PhysicalPlanSlot slot;
     (void)engine.EvaluateUnionDegraded(uq, db, StoredGate(), nullptr, nullptr,
-                                       nullptr, &slot);
+                                       &slot);
     double warm_ms = 0;
     for (size_t it = 0; it < iters; ++it) {
       WallTimer timer;
       auto r = engine.EvaluateUnionDegraded(uq, db, StoredGate(), nullptr,
-                                            nullptr, nullptr, &slot);
+                                            nullptr, &slot);
       double ms = timer.ElapsedMillis();
       if (!r.ok() || r->answers.ToString() != reference) {
         ++point.mismatches;

@@ -13,13 +13,11 @@
 // threads — each with its own facade, all sharing one thread-safe plan
 // cache + goal memo (docs/parallel_execution.md) — asserting every answer
 // against the single-threaded baseline and reporting aggregate
-// queries/sec per server count. PDMS_BENCH_THREADS additionally sets each
-// facade's intra-query parallelism for the sweep.
+// queries/sec per server count.
 //
 // Knobs: PDMS_BENCH_PEERS (default 48), PDMS_BENCH_DIAMETER (4),
 // PDMS_BENCH_REQUESTS (300), PDMS_BENCH_POOL (16), PDMS_BENCH_ZIPF (1.1),
-// PDMS_BENCH_FACTS (2), PDMS_BENCH_SEED (1), PDMS_BENCH_MAX_SERVERS (4),
-// PDMS_BENCH_THREADS (1).
+// PDMS_BENCH_FACTS (2), PDMS_BENCH_SEED (1), PDMS_BENCH_MAX_SERVERS (4).
 
 #include <algorithm>
 #include <atomic>
@@ -269,8 +267,6 @@ int main(int argc, char** argv) {
 
   // --- Concurrent serving sweep: N server threads, one shared cache pair.
   size_t max_servers = EnvSize("PDMS_BENCH_MAX_SERVERS", 4);
-  size_t facade_threads = EnvSize("PDMS_BENCH_THREADS", 1);
-  report.params()->Set("facade_threads", facade_threads);
 
   // Ground truth per pool entry, from a fresh uncached facade.
   std::vector<std::string> expected(pool.size());
@@ -290,8 +286,8 @@ int main(int argc, char** argv) {
   }
 
   std::printf("\n# Concurrent serving (shared plan cache + goal memo, "
-              "facade threads %zu, %zu hardware threads)\n",
-              facade_threads, (size_t)std::thread::hardware_concurrency());
+              "%zu hardware threads)\n",
+              (size_t)std::thread::hardware_concurrency());
   std::printf("%-10s %12s %12s %12s\n", "servers", "queries/sec", "hit rate",
               "mismatches");
   for (size_t servers = 1; servers <= max_servers; servers *= 2) {
@@ -304,9 +300,7 @@ int main(int argc, char** argv) {
     threads.reserve(servers);
     for (size_t s = 0; s < servers; ++s) {
       threads.emplace_back([&, s] {
-        pdms::ReformulationOptions options;
-        options.threads = facade_threads;
-        pdms::Pdms server(options);
+        pdms::Pdms server;
         *server.mutable_network() = workload->network;
         *server.mutable_database() = workload->data;
         server.set_plan_cache(&shared_plans);

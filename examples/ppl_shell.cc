@@ -469,29 +469,6 @@ void CacheCommand(const std::string& args) {
   std::printf("usage: cache stats | cache clear | cache budget <bytes>\n");
 }
 
-// `threads` / `threads <n>`: show or set the parallelism of the in-process
-// facade's evaluation (disjunct fan-out and partitioned join probes);
-// reformulation is serial at every setting, so `plan`/`tree` output does
-// not change with it. The simulated runtime that serves `?` queries keeps
-// its message schedule single-threaded by design.
-void ThreadsCommand(const std::string& args) {
-  if (args.empty()) {
-    std::printf("threads: %zu\n", g_pdms.options().threads);
-    return;
-  }
-  size_t n = 0;
-  std::istringstream in(args);
-  if (!(in >> n) || n == 0) {
-    std::printf("usage: threads [<n>=1]\n");
-    return;
-  }
-  pdms::ReformulationOptions options = g_pdms.options();
-  options.threads = n;
-  g_pdms.set_options(options);
-  std::printf("threads set to %zu%s\n", n,
-              n == 1 ? " (serial)" : " (work-stealing pool)");
-}
-
 // `serve <port>` / `serve stop`: expose the shell's network/data over the
 // wire protocol from a background server owned by the shell.
 void ServeCommand(const std::string& args) {
@@ -610,7 +587,6 @@ void Help() {
       "  cache stats        plan-cache / goal-memo hit and size counters\n"
       "  cache clear        drop all cached plans and memoized subtrees\n"
       "  cache budget <n>   set both cache byte budgets (evicts down)\n"
-      "  threads [<n>]      show or set facade parallelism (1 = serial)\n"
       "  serve <port>       serve the current network/data over TCP\n"
       "                     (docs/serving.md; `serve stop` to stop)\n"
       "  connect <h:p>      route `?` queries to a ppl_serverd instance\n"
@@ -670,10 +646,6 @@ int main(int argc, char** argv) {
       ShowExplain();
     } else if (trimmed == "metrics") {
       ShowMetrics();
-    } else if (trimmed == "threads") {
-      ThreadsCommand("");
-    } else if (pdms::StartsWith(trimmed, "threads ")) {
-      ThreadsCommand(std::string(pdms::StripWhitespace(trimmed.substr(8))));
     } else if (pdms::StartsWith(trimmed, "cache ")) {
       CacheCommand(std::string(pdms::StripWhitespace(trimmed.substr(6))));
     } else if (trimmed == "cache") {

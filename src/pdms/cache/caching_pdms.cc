@@ -10,7 +10,7 @@ CachingPdms::CachingPdms(CacheConfig config, ReformulationOptions options)
       plan_cache_(config.plan_budget_bytes),
       goal_memo_(config.memo_budget_bytes) {
   pdms_.set_plan_cache(&plan_cache_);
-  if (config.enable_goal_memo) pdms_.set_goal_memo(&goal_memo_);
+  pdms_.set_goal_memo(&goal_memo_);
   if (config.wholesale_invalidation) {
     plan_cache_.set_wholesale_invalidation(true);
     goal_memo_.set_wholesale_invalidation(true);

@@ -15,9 +15,6 @@ namespace cache {
 struct CacheConfig {
   size_t plan_budget_bytes = PlanCache::kDefaultBudgetBytes;
   size_t memo_budget_bytes = GoalMemo::kDefaultBudgetBytes;
-  /// The goal memo accelerates cold (plan-miss) reformulations; disable to
-  /// measure the plan cache alone.
-  bool enable_goal_memo = true;
   /// Revert both caches to wholesale clearing on any scope movement
   /// (pre-dependency-tracking behavior). The churn DST uses this as its
   /// negative control; see docs/churn_invalidation.md.

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "pdms/core/query_pipeline.h"
-#include "pdms/exec/thread_pool.h"
 #include "pdms/fault/access.h"
 #include "pdms/qp/engine.h"
 #include "pdms/util/strings.h"
@@ -19,15 +18,6 @@ Pdms& Pdms::operator=(Pdms&&) noexcept = default;
 qp::Engine* Pdms::engine() {
   if (engine_ == nullptr) engine_ = std::make_unique<qp::Engine>();
   return engine_.get();
-}
-
-exec::ThreadPool* Pdms::Executor() {
-  if (options_.threads <= 1) return nullptr;
-  size_t workers = options_.threads - 1;  // the caller helps while waiting
-  if (pool_ == nullptr || pool_->workers() != workers) {
-    pool_ = std::make_unique<exec::ThreadPool>(workers);
-  }
-  return pool_.get();
 }
 
 Status Pdms::LoadProgram(std::string_view text) {
@@ -89,9 +79,7 @@ Reformulator* Pdms::GetReformulator() {
 }
 
 QueryPipeline Pdms::Pipeline() {
-  ReformulationOptions base = options_;
-  base.executor = Executor();
-  return QueryPipeline(network_, std::move(base),
+  return QueryPipeline(network_, options_,
                        {trace_, metrics_, plan_cache_, goal_memo_});
 }
 

@@ -19,10 +19,6 @@
 
 namespace pdms {
 
-namespace exec {
-class ThreadPool;
-}  // namespace exec
-
 namespace qp {
 class Engine;
 }  // namespace qp
@@ -234,13 +230,8 @@ class Pdms {
 
  private:
   Reformulator* GetReformulator();
-  /// The work-stealing pool backing `options().threads` (lazily created;
-  /// null while threads <= 1, which keeps every path exactly the serial
-  /// code). The pool has threads-1 workers: the calling thread is the
-  /// remaining one — it runs tasks itself whenever it waits on a fork.
-  exec::ThreadPool* Executor();
-  /// This query's pipeline: the facade's options (with the executor for
-  /// the `threads` setting) and the facade's trace, metrics and caches.
+  /// This query's pipeline: the facade's options, trace, metrics and
+  /// caches.
   QueryPipeline Pipeline();
   /// The plan step alone, for the entries that evaluate nothing or
   /// evaluate rewriting by rewriting (Reformulate, ExplainAnswer).
@@ -254,8 +245,7 @@ class Pdms {
   RetryPolicy retry_;
   Deadline deadline_;
   std::unique_ptr<FaultInjector> injector_;
-  std::unique_ptr<exec::ThreadPool> pool_;  // see Executor()
-  std::unique_ptr<qp::Engine> engine_;      // see engine()
+  std::unique_ptr<qp::Engine> engine_;  // see engine()
   std::unique_ptr<Reformulator> reformulator_;  // rebuilt on revision change
   uint64_t reformulator_revision_ = 0;  // network revision it was built at
   obs::TraceContext* trace_ = nullptr;      // not owned; may be null

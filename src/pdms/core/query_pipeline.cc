@@ -184,7 +184,7 @@ Status QueryPipeline::Evaluate(QueryPlan plan, qp::Engine* engine,
     eval_span.Set("disjuncts", static_cast<uint64_t>(rewriting.size()));
     PDMS_ASSIGN_OR_RETURN(
         eval, engine->EvaluateUnionDegraded(rewriting, db, gate, hooks_.trace,
-                                            hooks_.metrics, options_.executor,
+                                            hooks_.metrics,
                                             plan.physical.get()));
     eval_span.Set("answers", static_cast<uint64_t>(eval.answers.size()));
     out->answers = std::move(eval.answers);

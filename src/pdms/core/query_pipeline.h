@@ -65,9 +65,9 @@ class QueryPipeline {
     GoalMemoHook* goal_memo = nullptr;
   };
 
-  /// `base` is the caller's options for this query (its executor or cost
-  /// estimator included); the pipeline adds the network's unavailable
-  /// stored relations and the trace, metrics and goal-memo hooks.
+  /// `base` is the caller's options for this query (its cost estimator
+  /// included); the pipeline adds the network's unavailable stored
+  /// relations and the trace, metrics and goal-memo hooks.
   QueryPipeline(const PdmsNetwork& network, ReformulationOptions base,
                 Hooks hooks);
 

@@ -255,14 +255,6 @@ TreeBuilder::TreeBuilder(const ExpansionRules& rules,
                          ReformulationOptions options)
     : rules_(rules), reach_(reach), options_(options) {}
 
-TreeBuilder::TreeBuilder(const ExpansionRules& rules,
-                         ReformulationOptions options)
-    : rules_(rules),
-      owned_reach_(Reachability::Compute(rules, options.unavailable_stored,
-                                         options.allowed_stored)),
-      reach_(*owned_reach_),
-      options_(options) {}
-
 bool TreeBuilder::IsUsableStored(const std::string& predicate) const {
   if (rules_.stored.count(predicate) == 0) return false;
   if (options_.unavailable_stored.count(predicate) > 0) return false;

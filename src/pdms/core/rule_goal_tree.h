@@ -3,7 +3,6 @@
 
 #include <functional>
 #include <memory>
-#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -19,10 +18,6 @@ namespace pdms {
 
 class CostEstimator;
 class GoalMemoHook;
-
-namespace exec {
-class ThreadPool;
-}  // namespace exec
 
 /// Tunables for tree construction and solution enumeration. The paper's
 /// Section 4.3 optimizations each map to a flag so the ablation benchmarks
@@ -82,15 +77,12 @@ struct ReformulationOptions {
   obs::TraceContext* trace = nullptr;
   obs::MetricsRegistry* metrics = nullptr;
 
-  /// Parallelism (docs/parallel_execution.md). `threads` is the requested
-  /// worker count for evaluation; 1 (the default) keeps every code path
-  /// serial. `executor` is the shared work-stealing pool (borrowed,
-  /// nullable) — the Pdms facade owns one and sets it here when
-  /// threads > 1. Only evaluation fans out over it (disjuncts of the
-  /// union, partitioned join probes); reformulation is serial whatever
-  /// `threads` says, so the rewritings are verbatim those of a serial run.
+  /// Unused: no code reads it. Reformulation and evaluation are serial
+  /// whatever it says; concurrency comes from serving requests on separate
+  /// facades (docs/parallel_execution.md). It stays only because the
+  /// benchmark's workload sources (perfbench/src) assign it, and goes with
+  /// the next change to the benchmark.
   size_t threads = 1;
-  exec::ThreadPool* executor = nullptr;
 
   /// Cost-aware routing (docs/network_cost_model.md). With a
   /// `cost_estimator` attached, `order_expansions` breaks depth ties by
@@ -338,8 +330,6 @@ class TreeBuilder {
   /// Reformulator keeps one per network state).
   TreeBuilder(const ExpansionRules& rules, const Reachability& reach,
               ReformulationOptions options);
-  /// A standalone builder that computes its own reachability.
-  TreeBuilder(const ExpansionRules& rules, ReformulationOptions options);
 
   Result<RuleGoalTree> Build(const ConjunctiveQuery& query);
 
@@ -385,7 +375,6 @@ class TreeBuilder {
   void MarkViability(ExpansionNode* scope);
 
   const ExpansionRules& rules_;
-  std::optional<Reachability> owned_reach_;  // standalone builders only
   const Reachability& reach_;
   ReformulationOptions options_;
   VariableFactory fresh_{"_t"};

@@ -60,8 +60,8 @@ class Relation {
   /// Sorts the tuples into the canonical order (lexicographic under
   /// Value::operator<) and rebuilds the dedup index. The vectorized
   /// engine (src/pdms/qp/) canonicalizes every answer relation so results
-  /// are byte-identical across execution strategies, thread counts, and
-  /// cache states (docs/query_planning.md).
+  /// are byte-identical across execution strategies and cache states
+  /// (docs/query_planning.md).
   void SortCanonical();
 
   /// Counts destructive mutations (Clear, TakeTuples, SortCanonical):

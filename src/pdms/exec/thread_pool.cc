@@ -1,115 +1,51 @@
 #include "pdms/exec/thread_pool.h"
 
-#include <chrono>
 #include <utility>
+
+#include "pdms/util/check.h"
 
 namespace pdms {
 namespace exec {
 
 ThreadPool::ThreadPool(size_t workers) {
-  deques_.reserve(workers);
-  for (size_t i = 0; i < workers; ++i) {
-    deques_.push_back(std::make_unique<WorkerDeque>());
-  }
+  PDMS_CHECK(workers > 0);
   threads_.reserve(workers);
   for (size_t i = 0; i < workers; ++i) {
-    threads_.emplace_back([this, i] { WorkerLoop(i); });
+    threads_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
 ThreadPool::~ThreadPool() {
-  stopping_.store(true, std::memory_order_release);
   {
-    std::lock_guard<std::mutex> lock(idle_mu_);
-    idle_cv_.notify_all();
+    std::lock_guard<std::mutex> lock(mu_);
+    stopping_ = true;
   }
+  cv_.notify_all();
   for (std::thread& t : threads_) t.join();
 }
 
 void ThreadPool::Submit(std::function<void()> fn) {
-  size_t target =
-      submit_cursor_.fetch_add(1, std::memory_order_relaxed) % deques_.size();
   {
-    std::lock_guard<std::mutex> lock(deques_[target]->mu);
-    deques_[target]->tasks.push_back(std::move(fn));
+    std::lock_guard<std::mutex> lock(mu_);
+    tasks_.push_back(std::move(fn));
   }
-  pending_.fetch_add(1, std::memory_order_release);
-  {
-    std::lock_guard<std::mutex> lock(idle_mu_);
-    idle_cv_.notify_one();
-  }
+  cv_.notify_one();
 }
 
-bool ThreadPool::TakeTask(size_t preferred, std::function<void()>* out) {
-  size_t n = deques_.size();
-  // Own deque first, LIFO (the task just forked is hottest); then sweep
-  // the others FIFO — stealing the oldest task grabs the largest
-  // still-unsplit subtree of a fork/join computation.
-  {
-    WorkerDeque& own = *deques_[preferred % n];
-    std::lock_guard<std::mutex> lock(own.mu);
-    if (!own.tasks.empty()) {
-      *out = std::move(own.tasks.back());
-      own.tasks.pop_back();
-      pending_.fetch_sub(1, std::memory_order_acq_rel);
-      return true;
-    }
-  }
-  for (size_t off = 1; off < n; ++off) {
-    WorkerDeque& victim = *deques_[(preferred + off) % n];
-    std::lock_guard<std::mutex> lock(victim.mu);
-    if (!victim.tasks.empty()) {
-      *out = std::move(victim.tasks.front());
-      victim.tasks.pop_front();
-      pending_.fetch_sub(1, std::memory_order_acq_rel);
-      return true;
-    }
-  }
-  return false;
-}
-
-bool ThreadPool::TryRunOne() {
-  if (pending_.load(std::memory_order_acquire) == 0) return false;
-  std::function<void()> task;
-  // External helpers have no own deque; start the sweep at a rotating
-  // position so concurrent helpers spread across victims.
-  size_t start = submit_cursor_.fetch_add(1, std::memory_order_relaxed);
-  if (!TakeTask(start, &task)) return false;
-  task();
-  return true;
-}
-
-void ThreadPool::WorkerLoop(size_t self) {
-  std::function<void()> task;
+void ThreadPool::WorkerLoop() {
   while (true) {
-    if (TakeTask(self, &task)) {
-      task();
-      task = nullptr;
-      continue;
+    std::function<void()> task;
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      cv_.wait(lock, [this] { return stopping_ || !tasks_.empty(); });
+      // Stopping only ends a worker once the queue is empty, so every
+      // task submitted before destruction runs.
+      if (tasks_.empty()) return;
+      task = std::move(tasks_.front());
+      tasks_.pop_front();
     }
-    std::unique_lock<std::mutex> lock(idle_mu_);
-    if (stopping_.load(std::memory_order_acquire)) return;
-    if (pending_.load(std::memory_order_acquire) != 0) continue;
-    // The timeout is a belt-and-braces backstop against a lost wakeup;
-    // normal operation is woken by Submit or shutdown.
-    idle_cv_.wait_for(lock, std::chrono::milliseconds(50));
+    task();
   }
-}
-
-void TaskGroup::Wait() {
-  while (outstanding_.load(std::memory_order_acquire) != 0) {
-    if (pool_ != nullptr && pool_->TryRunOne()) continue;
-    std::unique_lock<std::mutex> lock(mu_);
-    if (outstanding_.load(std::memory_order_acquire) == 0) break;
-    // Short timeout: a task of ours may be running on another worker
-    // while the pool looks empty; poll rather than risk a missed notify.
-    cv_.wait_for(lock, std::chrono::milliseconds(1));
-  }
-  // The count can reach zero while the last task still holds mu_ (it
-  // decrements under the lock). Acquiring it once more delays our return
-  // until that task has let go of the group, so callers may destroy the
-  // group (or the stack frame that owns it) immediately after Wait.
-  std::lock_guard<std::mutex> lock(mu_);
 }
 
 }  // namespace exec

@@ -1,12 +1,10 @@
 #ifndef PDMS_EXEC_THREAD_POOL_H_
 #define PDMS_EXEC_THREAD_POOL_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -14,106 +12,36 @@
 namespace pdms {
 namespace exec {
 
-/// A work-stealing thread pool (docs/parallel_execution.md).
-///
-/// Each worker owns a deque: it pushes and pops its own tasks LIFO (good
-/// locality for fork/join trees) and steals FIFO from the other workers'
-/// deques when its own runs dry (oldest task first, which tends to steal
-/// the largest remaining subtree). External threads submit round-robin.
+/// A fixed set of worker threads draining one FIFO task queue
+/// (docs/parallel_execution.md). The serving executor submits one task per
+/// admitted request; no task waits on another, so workers simply take the
+/// oldest queued task whenever they are free.
 ///
 /// Tasks are plain `std::function<void()>` and must not throw — every
 /// engine in this codebase reports failure through Status, and an
 /// exception escaping a worker would terminate the process.
-///
-/// A pool with zero workers is valid and degenerate: Submit runs nothing
-/// (callers must not Submit to it), TryRunOne always fails, and TaskGroup/
-/// ParallelFor fall back to inline execution. The parallel call sites all
-/// treat `pool == nullptr || pool->workers() == 0` as "serial".
 class ThreadPool {
  public:
-  /// Spawns `workers` threads. The caller participates too — TaskGroup::
-  /// Wait runs queued tasks while waiting — so a pool sized N serves
-  /// roughly N+1 runnable lanes during a fork/join.
+  /// Spawns `workers` threads; `workers` must be at least 1.
   explicit ThreadPool(size_t workers);
+  /// Runs every task already queued, then joins the workers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  size_t workers() const { return deques_.size(); }
-
-  /// Enqueues a task. Must not be called on a zero-worker pool and must
-  /// not be called after destruction begins.
+  /// Enqueues a task behind every task submitted before it. Must not be
+  /// called once destruction begins.
   void Submit(std::function<void()> fn);
 
-  /// Runs one queued task on the calling thread (help-first stealing;
-  /// this is what makes nested fork/join deadlock-free). Returns false
-  /// when every deque is empty.
-  bool TryRunOne();
-
  private:
-  struct WorkerDeque {
-    std::mutex mu;
-    std::deque<std::function<void()>> tasks;
-  };
+  void WorkerLoop();
 
-  void WorkerLoop(size_t self);
-  bool TakeTask(size_t preferred, std::function<void()>* out);
-
-  std::vector<std::unique_ptr<WorkerDeque>> deques_;
-  std::vector<std::thread> threads_;
-  std::mutex idle_mu_;
-  std::condition_variable idle_cv_;
-  std::atomic<size_t> pending_{0};   // queued, not yet taken
-  std::atomic<size_t> submit_cursor_{0};
-  std::atomic<bool> stopping_{false};
-};
-
-/// Structured fork/join over a ThreadPool. Run() forks a task; Wait()
-/// joins all of them, executing other queued pool tasks while it waits so
-/// that nested groups can never deadlock (a waiting thread is always
-/// either running a task or observing an empty pool). With a null or
-/// zero-worker pool, Run() executes inline — the serial path.
-///
-/// A TaskGroup is owned by one thread: Run/Wait must be called from the
-/// thread that created it. The tasks themselves may create their own
-/// nested TaskGroups on the same pool.
-class TaskGroup {
- public:
-  explicit TaskGroup(ThreadPool* pool) : pool_(pool) {}
-  ~TaskGroup() { Wait(); }
-
-  TaskGroup(const TaskGroup&) = delete;
-  TaskGroup& operator=(const TaskGroup&) = delete;
-
-  void Run(std::function<void()> fn) {
-    if (pool_ == nullptr || pool_->workers() == 0) {
-      fn();
-      return;
-    }
-    outstanding_.fetch_add(1, std::memory_order_acq_rel);
-    pool_->Submit([this, fn = std::move(fn)] {
-      fn();
-      // The decrement happens under mu_ so that Wait's final lock
-      // acquisition is guaranteed to happen after the last completing
-      // task has released it — after that point no task ever touches
-      // this group again, making it safe for the waiter to destroy it.
-      std::lock_guard<std::mutex> lock(mu_);
-      if (outstanding_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        cv_.notify_all();
-      }
-    });
-  }
-
-  /// Blocks until every task passed to Run has finished. Safe to call
-  /// repeatedly; the destructor calls it as a backstop.
-  void Wait();
-
- private:
-  ThreadPool* pool_;
-  std::atomic<size_t> outstanding_{0};
   std::mutex mu_;
   std::condition_variable cv_;
+  std::deque<std::function<void()>> tasks_;  // guarded by mu_
+  bool stopping_ = false;                    // guarded by mu_
+  std::vector<std::thread> threads_;
 };
 
 }  // namespace exec

@@ -32,7 +32,7 @@ std::string RenderSpanTree(const TraceContext& trace);
 /// RenderSpanTree without the timing columns: node names, nesting, and
 /// attributes only. Two runs that did the same work render identically
 /// here no matter how long each step took — the parallel-equivalence tests
-/// byte-compare this form across thread counts.
+/// byte-compare this form across fresh facades.
 std::string RenderSpanTreeStructure(const TraceContext& trace);
 
 }  // namespace obs

@@ -173,9 +173,9 @@ struct JoinTable {
 /// the entry eagerly), while a destructive mutation or a different source
 /// relation rebuilds from scratch.
 ///
-/// Not internally synchronized: callers Ensure every relation (and
-/// prebuild join tables) before fanning execution out; parallel execution
-/// then only reads (docs/query_planning.md, determinism rules).
+/// Not internally synchronized: one catalog belongs to one engine. Callers
+/// Ensure every relation (and prebuild join tables) before executing;
+/// execution then only reads.
 class ColumnarCatalog {
  public:
   /// Converts (or incrementally refreshes) the columnar twin of `rel`.

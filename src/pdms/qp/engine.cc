@@ -4,7 +4,6 @@
 #include <set>
 #include <utility>
 
-#include "pdms/exec/parallel_for.h"
 #include "pdms/util/check.h"
 #include "pdms/util/strings.h"
 
@@ -58,7 +57,7 @@ Result<std::shared_ptr<const UnionPlan>> Engine::PlanOrReuse(
 Result<DegradedEvalResult> Engine::EvaluateUnionDegraded(
     const UnionQuery& uq, const Database& db, const StoredGate& gate,
     obs::TraceContext* trace, obs::MetricsRegistry* metrics,
-    exec::ThreadPool* pool, PhysicalPlanSlot* slot) {
+    PhysicalPlanSlot* slot) {
   DegradedEvalResult out;
   if (uq.empty()) return out;
   out.answers = Relation(uq.disjuncts()[0].head().predicate(),
@@ -69,15 +68,14 @@ Result<DegradedEvalResult> Engine::EvaluateUnionDegraded(
 
   obs::ScopedSpan exec_span(trace, "qp.exec");
 
-  // Gating stays serial and in disjunct order. The gate is consulted once
-  // per distinct plan relation, at its first use in (disjunct, body
-  // order) — the probe sequence of the legacy evaluator over a caching
-  // gate such as AccessController — and every later disjunct reads the
-  // verdict kept here, so AccessStats and the DegradationReport are
+  // Gating runs in disjunct order. The gate is consulted once per
+  // distinct plan relation, at its first use in (disjunct, body order) —
+  // the probe sequence of the legacy evaluator over a caching gate such
+  // as AccessController — and every later disjunct reads the verdict kept
+  // here, so AccessStats and the DegradationReport are
   // byte-identical to it. Surviving disjuncts are collected and executed
   // afterwards; their eval_cq/join spans are opened (and closed) here, in
-  // disjunct order, so the span tree is identical whether execution later
-  // runs serially or fans out.
+  // disjunct order, and get their answer counts once the trie has run.
   struct PendingExec {
     size_t disjunct;
     obs::SpanId cq_span;
@@ -128,11 +126,10 @@ Result<DegradedEvalResult> Engine::EvaluateUnionDegraded(
     ++index;
   }
 
-  // Prepare phase (serial; the only catalog mutation after planning):
-  // build the cacheable scan-side hash tables that the trie nodes on the
-  // surviving paths need, walking the plan's distinct (relation,
-  // signature) list once. Execution below then only reads the catalog,
-  // which is what makes the subtree fan-out safe.
+  // Prepare phase (the only catalog mutation after planning): build the
+  // cacheable scan-side hash tables that the trie nodes on the surviving
+  // paths need, walking the plan's distinct (relation, signature) list
+  // once. Execution below then only reads the catalog.
   const std::vector<char> paths = MarkPaths(*plan, run);
   const std::vector<char> needed = JoinTableNeeds(*plan, paths);
   for (size_t t = 0; t < plan->join_tables.size(); ++t) {
@@ -160,10 +157,10 @@ Result<DegradedEvalResult> Engine::EvaluateUnionDegraded(
 
   // Execute the trie over the surviving paths. Each disjunct's shard holds
   // what it would have produced alone, and shards merge below in disjunct
-  // order, so answers cannot depend on the thread count.
+  // order.
   std::vector<std::vector<Tuple>> shards(uq.size());
   const size_t steps =
-      ExecuteUnion(*plan, run, paths, tables, db, catalog_, pool, &shards);
+      ExecuteUnion(*plan, run, paths, tables, db, catalog_, &shards);
 
   for (const PendingExec& p : pending) {
     std::vector<Tuple>& shard = shards[p.disjunct];
@@ -175,8 +172,8 @@ Result<DegradedEvalResult> Engine::EvaluateUnionDegraded(
     for (Tuple& t : shard) out.answers.Insert(std::move(t));
   }
 
-  // Canonical answer order: byte-identical output across engines, thread
-  // counts, and cache states (docs/query_planning.md, determinism rules).
+  // Canonical answer order: byte-identical output across engines and cache
+  // states (docs/query_planning.md, determinism rules).
   out.answers.SortCanonical();
   exec_span.Set("answers", static_cast<uint64_t>(out.answers.size()));
   exec_span.Set("steps", static_cast<uint64_t>(steps));
@@ -205,7 +202,7 @@ Result<std::vector<Tuple>> Engine::EvaluateDisjunct(const ConjunctiveQuery& cq,
   }
   PDMS_ASSIGN_OR_RETURN(DisjunctPlan dp,
                         PlanDisjunct(cq, db, catalog_, net_cost_));
-  return ExecuteDisjunct(dp, db, catalog_, nullptr, nullptr);
+  return ExecuteDisjunct(dp, db, catalog_, nullptr);
 }
 
 Result<std::string> Engine::Explain(const UnionQuery& uq, const Database& db) {
@@ -223,7 +220,7 @@ Result<std::string> Engine::Explain(const UnionQuery& uq, const Database& db) {
                           PlanDisjunct(cq, db, catalog_, net_cost_));
     StepActuals actuals;
     PDMS_ASSIGN_OR_RETURN(std::vector<Tuple> tuples,
-                          ExecuteDisjunct(dp, db, catalog_, nullptr, &actuals));
+                          ExecuteDisjunct(dp, db, catalog_, &actuals));
     total += tuples.size();
     out += RenderDisjunctPlan(dp, cq, index, &actuals);
     ++index;

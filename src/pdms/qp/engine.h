@@ -6,7 +6,6 @@
 
 #include "pdms/data/database.h"
 #include "pdms/eval/evaluator.h"
-#include "pdms/exec/thread_pool.h"
 #include "pdms/obs/metrics.h"
 #include "pdms/obs/trace.h"
 #include "pdms/qp/column_store.h"
@@ -25,35 +24,34 @@ namespace qp {
 ///
 /// Contract (docs/query_planning.md): EvaluateUnionDegraded returns the
 /// same answers, degradation report, and `eval.*` metrics as the legacy
-/// eval::EvaluateUnionDegraded — gating is serial and in disjunct order,
-/// verbatim — except that the answer relation is canonically sorted
+/// eval::EvaluateUnionDegraded — gating runs in disjunct order, verbatim
+/// — except that the answer relation is canonically sorted
 /// (Relation::SortCanonical), which makes answers byte-identical across
-/// engines, thread counts, and plan-cache states.
+/// engines and plan-cache states.
 class Engine {
  public:
   /// Vectorized degraded union evaluation. With `slot` attached the
   /// compiled physical plan is cached there (next to the rewriting in the
   /// PlanCache) and reused while the catalog's statistics fingerprint
-  /// matches; with a pool attached surviving disjuncts fan out and large
-  /// hash-join probes are partitioned. Spans: `qp.plan` (planning /
-  /// reuse), `qp.exec` (gating + execution, the per-disjunct `eval_cq` /
-  /// `join` spans nested under it with estimated and actual cardinality
-  /// attributes).
+  /// matches. Spans: `qp.plan` (planning / reuse), `qp.exec` (gating +
+  /// execution, the per-disjunct `eval_cq` / `join` spans nested under it
+  /// with estimated and actual cardinality attributes).
   Result<DegradedEvalResult> EvaluateUnionDegraded(
       const UnionQuery& uq, const Database& db, const StoredGate& gate,
       obs::TraceContext* trace = nullptr,
-      obs::MetricsRegistry* metrics = nullptr, exec::ThreadPool* pool = nullptr,
+      obs::MetricsRegistry* metrics = nullptr,
       PhysicalPlanSlot* slot = nullptr);
 
   /// Single-disjunct evaluation for the streaming answer path: Ensures the
-  /// body's relations, plans the disjunct afresh and executes it serially,
+  /// body's relations, plans the disjunct afresh and executes it,
   /// returning its distinct head tuples in probe order. Ungated (the caller
   /// gates) and untraced (the caller spans). Join tables missing from the
   /// catalog are built per call and not stored there: a stream's
   /// rewritings rarely repeat a scan signature, and caching them measured
   /// over the memory bound (docs/query_planning.md, streaming). An empty
-  /// body delegates to the legacy evaluator exactly as the union path
-  /// does.
+  /// body is planned with no steps, so the head is projected from the
+  /// one-row unit intermediate, exactly as the union path's trie root
+  /// projects its leaves.
   Result<std::vector<Tuple>> EvaluateDisjunct(const ConjunctiveQuery& cq,
                                               const Database& db);
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "pdms/exec/parallel_for.h"
 #include "pdms/util/check.h"
 #include "pdms/util/strings.h"
 
@@ -55,7 +54,7 @@ size_t WidthAfter(const Intermediate& in, const PlannedStep& step) {
 using MatchPairs = std::vector<std::pair<uint32_t, uint32_t>>;
 
 // The caller-owned working memory of the step runner, reused from step to
-// step: one set per serial run or per parallel task, never shared.
+// step: one set per execution, never shared.
 struct StepScratch {
   MatchPairs pairs;
   std::vector<uint32_t> rows;  // filtered scan rows, then surviving rows
@@ -144,37 +143,6 @@ void FillJoinTable(const PlannedScan& scan, const std::vector<size_t>& key_cols,
     scratch->hashes[i] = ScanKeyHash(data, key_cols, table->rows[i]);
   }
   table->index.Build(scratch->hashes);
-}
-
-// Splits [0, n) into contiguous ranges sized for the pool; `probe` fills
-// one MatchPairs per range, and the ranges are concatenated in order into
-// `out`, so the result is byte-identical to a single serial probe.
-template <typename ProbeRange>
-void PartitionedProbe(exec::ThreadPool* pool, size_t n,
-                      const ProbeRange& probe, MatchPairs* out) {
-  out->clear();
-  size_t chunks = 1;
-  if (pool != nullptr && pool->workers() > 0 && n >= kParallelProbeThreshold) {
-    chunks = std::min(pool->workers() + 1, n / (kParallelProbeThreshold / 2));
-    chunks = std::max<size_t>(chunks, 1);
-  }
-  if (chunks == 1) {
-    probe(0, n, out);
-    return;
-  }
-  std::vector<MatchPairs> parts(chunks);
-  size_t per = (n + chunks - 1) / chunks;
-  exec::ParallelFor(pool, chunks, [&](size_t k) {
-    size_t begin = k * per;
-    size_t end = std::min(n, begin + per);
-    if (begin < end) probe(begin, end, &parts[k]);
-  });
-  size_t total = 0;
-  for (const MatchPairs& p : parts) total += p.size();
-  out->reserve(total);
-  for (const MatchPairs& p : parts) {
-    out->insert(out->end(), p.begin(), p.end());
-  }
 }
 
 // Whether a step's output intermediate must carry `slot` (empty mask =
@@ -276,8 +244,8 @@ namespace {
 // is the one step runner of both execution shapes.
 void RunStep(const PlannedStep& step, bool first, const Intermediate& in,
              const ColumnarRelation* data, const JoinTable* table,
-             const ColumnarCatalog& catalog, exec::ThreadPool* pool,
-             StepScratch* scratch, Intermediate* out) {
+             const ColumnarCatalog& catalog, StepScratch* scratch,
+             Intermediate* out) {
   if (data == nullptr) {
     Reshape(0, 0, out);
     return;
@@ -316,22 +284,19 @@ void RunStep(const PlannedStep& step, bool first, const Intermediate& in,
                     &scratch->local);
       table = &scratch->local;
     }
-    PartitionedProbe(
-        pool, in.rows,
-        [&](size_t begin, size_t end, MatchPairs* dst) {
-          for (size_t i = begin; i < end; ++i) {
-            uint64_t h = RowKeyHash(in, step.key_slots, i);
-            for (int32_t e = table->index.Head(h); e >= 0;
-                 e = table->index.Next(e)) {
-              uint32_t r = table->rows[static_cast<size_t>(e)];
-              if (KeysEqual(in, i, step.key_slots, *data, step.key_cols, r)) {
-                dst->emplace_back(static_cast<uint32_t>(i), r);
-              }
-            }
-          }
-        },
-        &scratch->pairs);
-    GatherJoin(in, scratch->pairs, step, *data, out);
+    MatchPairs& pairs = scratch->pairs;
+    pairs.clear();
+    for (size_t i = 0; i < in.rows; ++i) {
+      uint64_t h = RowKeyHash(in, step.key_slots, i);
+      for (int32_t e = table->index.Head(h); e >= 0;
+           e = table->index.Next(e)) {
+        uint32_t r = table->rows[static_cast<size_t>(e)];
+        if (KeysEqual(in, i, step.key_slots, *data, step.key_cols, r)) {
+          pairs.emplace_back(static_cast<uint32_t>(i), r);
+        }
+      }
+    }
+    GatherJoin(in, pairs, step, *data, out);
   } else {
     // Build over the (smaller) intermediate, probe the filtered scan in
     // row order.
@@ -347,22 +312,18 @@ void RunStep(const PlannedStep& step, bool first, const Intermediate& in,
     }
     const FlatTable& built = scratch->table;
     scratch->table.Build(scratch->hashes);
-    PartitionedProbe(
-        pool, rows.size(),
-        [&](size_t begin, size_t end, MatchPairs* dst) {
-          for (size_t k = begin; k < end; ++k) {
-            uint32_t r = rows[k];
-            uint64_t h = ScanKeyHash(*data, step.key_cols, r);
-            for (int32_t e = built.Head(h); e >= 0; e = built.Next(e)) {
-              uint32_t i = static_cast<uint32_t>(e);
-              if (KeysEqual(in, i, step.key_slots, *data, step.key_cols, r)) {
-                dst->emplace_back(i, r);
-              }
-            }
-          }
-        },
-        &scratch->pairs);
-    GatherJoin(in, scratch->pairs, step, *data, out);
+    MatchPairs& pairs = scratch->pairs;
+    pairs.clear();
+    for (uint32_t r : rows) {
+      uint64_t h = ScanKeyHash(*data, step.key_cols, r);
+      for (int32_t e = built.Head(h); e >= 0; e = built.Next(e)) {
+        uint32_t i = static_cast<uint32_t>(e);
+        if (KeysEqual(in, i, step.key_slots, *data, step.key_cols, r)) {
+          pairs.emplace_back(i, r);
+        }
+      }
+    }
+    GatherJoin(in, pairs, step, *data, out);
   }
   ApplyComparisons(step, catalog, &scratch->rows, out);
 }
@@ -449,7 +410,7 @@ class TrieRunner {
              const std::vector<char>& paths,
              const std::vector<const JoinTable*>& tables,
              std::vector<const ColumnarRelation*> relations,
-             const ColumnarCatalog& catalog, exec::ThreadPool* pool,
+             const ColumnarCatalog& catalog,
              std::vector<std::vector<Tuple>>* shards)
       : plan_(plan),
         disjuncts_(disjuncts),
@@ -457,71 +418,44 @@ class TrieRunner {
         tables_(tables),
         relations_(std::move(relations)),
         catalog_(catalog),
-        pool_(pool),
-        shards_(shards) {}
+        shards_(shards),
+        levels_(plan.depth) {}
 
   size_t Run() {
     const Intermediate unit = UnitIntermediate();
-    Workspace ws(plan_.depth);
-    ProjectLeaves(0, unit, &ws.scratch);
-    std::vector<uint32_t> subtrees;
+    ProjectLeaves(0, unit);
+    size_t steps = 0;
     for (uint32_t child : plan_.nodes[0].children) {
-      if (paths_[child]) subtrees.push_back(child);
-    }
-    std::vector<size_t> steps(subtrees.size(), 0);
-    if (pool_ == nullptr || pool_->workers() == 0) {
-      for (size_t k = 0; k < subtrees.size(); ++k) {
-        steps[k] = RunChild(subtrees[k], 0, unit, &ws);
-      }
-    } else {
-      // Whole subtrees of the root fan out; each task owns its buffers,
-      // counts its own steps and writes only the shards of the disjuncts
-      // below it.
-      exec::ParallelFor(pool_, subtrees.size(), [&](size_t k) {
-        Workspace own(plan_.depth);
-        steps[k] = RunChild(subtrees[k], 0, unit, &own);
-      });
-    }
-    size_t total = 0;
-    for (size_t n : steps) total += n;
-    return total;
-  }
-
- private:
-  // One execution's buffers: the intermediate of each trie depth (sized
-  // up front, so recursion never moves a parent's buffer) and the step
-  // runner's scratch.
-  struct Workspace {
-    explicit Workspace(size_t depth) : levels(depth) {}
-    std::vector<Intermediate> levels;
-    StepScratch scratch;
-  };
-
-  // Runs `node`'s step, `depth` steps below the root, over its parent's
-  // intermediate `in` into the depth's buffer, then the subtree below it
-  // unless the result is empty; returns the steps run.
-  size_t RunChild(uint32_t node, size_t depth, const Intermediate& in,
-                  Workspace* ws) {
-    const PlanNode& n = plan_.nodes[node];
-    const JoinTable* table =
-        n.join_table >= 0 ? tables_[n.join_table] : nullptr;
-    Intermediate& out = ws->levels[depth];
-    RunStep(n.step, n.parent == 0, in, StepData(n.step, relations_[n.relation]),
-            table, catalog_, pool_, &ws->scratch, &out);
-    size_t steps = 1;
-    if (out.rows == 0) return steps;  // prunes every disjunct below
-    ProjectLeaves(node, out, &ws->scratch);
-    for (uint32_t child : n.children) {
-      if (paths_[child]) steps += RunChild(child, depth + 1, out, ws);
+      if (paths_[child]) steps += RunChild(child, 0, unit);
     }
     return steps;
   }
 
-  void ProjectLeaves(uint32_t node, const Intermediate& in,
-                     StepScratch* scratch) {
+ private:
+  // Runs `node`'s step, `depth` steps below the root, over its parent's
+  // intermediate `in` into the depth's buffer, then the subtree below it
+  // unless the result is empty; returns the steps run.
+  size_t RunChild(uint32_t node, size_t depth, const Intermediate& in) {
+    const PlanNode& n = plan_.nodes[node];
+    const JoinTable* table =
+        n.join_table >= 0 ? tables_[n.join_table] : nullptr;
+    Intermediate& out = levels_[depth];
+    RunStep(n.step, n.parent == 0, in, StepData(n.step, relations_[n.relation]),
+            table, catalog_, &scratch_, &out);
+    size_t steps = 1;
+    if (out.rows == 0) return steps;  // prunes every disjunct below
+    ProjectLeaves(node, out);
+    for (uint32_t child : n.children) {
+      if (paths_[child]) steps += RunChild(child, depth + 1, out);
+    }
+    return steps;
+  }
+
+  void ProjectLeaves(uint32_t node, const Intermediate& in) {
     for (uint32_t d : plan_.nodes[node].leaves) {
       if (disjuncts_[d]) {
-        (*shards_)[d] = Project(plan_.disjuncts[d].head, in, catalog_, scratch);
+        (*shards_)[d] = Project(plan_.disjuncts[d].head, in, catalog_,
+                                &scratch_);
       }
     }
   }
@@ -532,8 +466,11 @@ class TrieRunner {
   const std::vector<const JoinTable*>& tables_;
   const std::vector<const ColumnarRelation*> relations_;
   const ColumnarCatalog& catalog_;
-  exec::ThreadPool* pool_;
   std::vector<std::vector<Tuple>>* shards_;
+  // The intermediate of each trie depth (sized up front, so recursion
+  // never moves a parent's buffer) and the step runner's scratch.
+  std::vector<Intermediate> levels_;
+  StepScratch scratch_;
 };
 
 }  // namespace
@@ -541,7 +478,6 @@ class TrieRunner {
 Result<std::vector<Tuple>> ExecuteDisjunct(const DisjunctPlan& plan,
                                            const Database& db,
                                            const ColumnarCatalog& catalog,
-                                           exec::ThreadPool* pool,
                                            StepActuals* actuals) {
   auto bail = [&]() -> std::vector<Tuple> {
     // Record zero cardinality for the remaining steps so explain output
@@ -569,7 +505,7 @@ Result<std::vector<Tuple>> ExecuteDisjunct(const DisjunctPlan& plan,
             ? nullptr
             : catalog.FindJoinTable(step.scan.relation, step.scan.signature);
     Intermediate* out = &buffers[si % 2];
-    RunStep(step, si == 0, *in, data, table, catalog, pool, &scratch, out);
+    RunStep(step, si == 0, *in, data, table, catalog, &scratch, out);
     in = out;
     if (actuals != nullptr) actuals->push_back(in->rows);
     if (in->rows == 0) return bail();
@@ -583,7 +519,6 @@ size_t ExecuteUnion(const UnionPlan& plan, const std::vector<char>& disjuncts,
                     const std::vector<char>& paths,
                     const std::vector<const JoinTable*>& tables,
                     const Database& db, const ColumnarCatalog& catalog,
-                    exec::ThreadPool* pool,
                     std::vector<std::vector<Tuple>>* shards) {
   std::vector<const ColumnarRelation*> relations;
   relations.reserve(plan.relations.size());
@@ -591,7 +526,7 @@ size_t ExecuteUnion(const UnionPlan& plan, const std::vector<char>& disjuncts,
     relations.push_back(ResolveRelation(r, db, catalog));
   }
   return TrieRunner(plan, disjuncts, paths, tables, std::move(relations),
-                    catalog, pool, shards)
+                    catalog, shards)
       .Run();
 }
 

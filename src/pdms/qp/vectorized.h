@@ -5,17 +5,12 @@
 #include <vector>
 
 #include "pdms/data/database.h"
-#include "pdms/exec/thread_pool.h"
 #include "pdms/qp/column_store.h"
 #include "pdms/qp/planner.h"
 #include "pdms/util/status.h"
 
 namespace pdms {
 namespace qp {
-
-/// Probe sides below this many rows run serially even with a pool — the
-/// partition bookkeeping costs more than it saves.
-inline constexpr size_t kParallelProbeThreshold = 4096;
 
 /// Runs a planned scan's pushed-down filters over the columnar relation,
 /// returning the surviving row ids in row order. A constant that cannot be
@@ -44,15 +39,10 @@ using StepActuals = std::vector<size_t>;
 /// between two intermediate buffers local to the call.
 ///
 /// `catalog` is read only — every relation must have been Ensure'd (and
-/// scan-side join tables ideally prebuilt) before the call, which is what
-/// makes concurrent execution safe. With `pool` attached, hash join probes
-/// over >= kParallelProbeThreshold rows are partitioned across workers;
-/// partitions are contiguous row ranges concatenated in order, so the
-/// output is byte-identical to the serial probe.
+/// scan-side join tables ideally prebuilt) before the call.
 Result<std::vector<Tuple>> ExecuteDisjunct(const DisjunctPlan& plan,
                                            const Database& db,
                                            const ColumnarCatalog& catalog,
-                                           exec::ThreadPool* pool,
                                            StepActuals* actuals);
 
 /// Executes the shared-prefix trie of `plan` depth-first for the disjuncts
@@ -64,16 +54,13 @@ Result<std::vector<Tuple>> ExecuteDisjunct(const DisjunctPlan& plan,
 ///
 /// `tables` holds, per UnionPlan::join_tables entry, the catalog's join
 /// table or null (a step then builds one locally). The catalog is read
-/// only, as for ExecuteDisjunct; with `pool` attached the root's subtrees
-/// run as parallel tasks, each writing only its own disjuncts' shards.
-/// The walk keeps one reusable intermediate buffer per trie depth
-/// (UnionPlan::depth of them) plus step scratch, one set per parallel
-/// task; none of it outlives the call. Returns the number of steps run.
+/// only, as for ExecuteDisjunct. The walk keeps one reusable intermediate
+/// buffer per trie depth (UnionPlan::depth of them) plus one set of step
+/// scratch; none of it outlives the call. Returns the number of steps run.
 size_t ExecuteUnion(const UnionPlan& plan, const std::vector<char>& disjuncts,
                     const std::vector<char>& paths,
                     const std::vector<const JoinTable*>& tables,
                     const Database& db, const ColumnarCatalog& catalog,
-                    exec::ThreadPool* pool,
                     std::vector<std::vector<Tuple>>* shards);
 
 }  // namespace qp

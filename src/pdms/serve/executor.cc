@@ -92,9 +92,7 @@ Status RequestExecutor::Start(const PdmsNetwork& network, const Database& data,
   // worker claims a free facade for the duration of one request, so the
   // facades themselves never see concurrent use.
   for (size_t i = 0; i < options_.workers; ++i) {
-    ReformulationOptions opts = options_.query_options;
-    opts.threads = 1;
-    auto facade = std::make_unique<Pdms>(opts);
+    auto facade = std::make_unique<Pdms>(options_.query_options);
     *facade->mutable_network() = network;
     *facade->mutable_database() = data;
     facade->set_plan_cache(&plan_cache_);
@@ -330,7 +328,6 @@ void RequestExecutor::RunOne(ServeRequest request, const std::string& sf_key) {
   // Whatever budget survives queueing becomes the reformulation time
   // budget, so mid-query expiry degrades to a sound truncated answer.
   ReformulationOptions opts = options_.query_options;
-  opts.threads = 1;
   if (!deadline.infinite()) {
     double remaining = deadline.RemainingMillis(request.arrival.ElapsedMillis());
     opts.time_budget_ms = remaining > 0 ? remaining : 0.001;

@@ -28,13 +28,12 @@ namespace serve {
 
 /// Tunables for the serving executor.
 struct ExecutorOptions {
-  /// Worker threads evaluating admitted requests (the PR-5 work-stealing
-  /// pool; also the parallelism the admission estimate assumes).
+  /// Worker threads evaluating admitted requests, one request each at a
+  /// time (also the parallelism the admission estimate assumes).
   size_t workers = 2;
   AdmissionOptions admission;
-  /// Base reformulation options for every worker facade. `threads` stays 1
-  /// per facade — parallelism comes from concurrent requests, and serial
-  /// facades keep answers byte-identical to the in-process baseline.
+  /// Base reformulation options for every worker facade. Each facade is
+  /// serial; parallelism comes from concurrent requests.
   ReformulationOptions query_options;
   /// Test/bench knob: a minimum service time per request, spent sleeping
   /// before evaluation. With a known floor the server's capacity is
@@ -98,13 +97,13 @@ struct ServeOutcome {
   wire::ShedFrame shed_frame;
 };
 
-/// Evaluates admitted query requests on a work-stealing pool of worker
-/// threads, each owning a serial Pdms facade over the same network and
-/// data, all sharing one thread-safe plan cache + goal memo (the PR-5
-/// concurrent-serving pattern, docs/parallel_execution.md). The executor
-/// owns admission control: Submit either returns a ShedFrame immediately
-/// (queue full / budget can't cover the expected wait) or schedules the
-/// request and later fires the completion callback from a worker thread.
+/// Evaluates admitted query requests on a FIFO pool of worker threads,
+/// each owning a serial Pdms facade over the same network and data, all
+/// sharing one thread-safe plan cache + goal memo (the concurrent-serving
+/// pattern, docs/parallel_execution.md). The executor owns admission
+/// control: Submit either returns a ShedFrame immediately (queue full /
+/// budget can't cover the expected wait) or schedules the request and
+/// later fires the completion callback from a worker thread.
 ///
 /// Deadline propagation (docs/serving.md): a request's remaining budget is
 /// re-checked when a worker dequeues it — expiry while queued sheds it

@@ -14,6 +14,10 @@ namespace sim {
 
 namespace {
 
+/// A relay batch gets `request_timeout_ms * kRelayTimeoutFactor` before the
+/// coordinator falls back to unicast for its unresolved relations.
+constexpr double kRelayTimeoutFactor = 2.5;
+
 /// One in-flight stored-relation fetch at the coordinator.
 struct Fetch {
   std::string owner;
@@ -445,7 +449,7 @@ Result<AnswerResult> SimPdms::Answer(const ConjunctiveQuery& query) {
     // plus the intra-zone fan-out), then every still-unresolved relation
     // falls back to the unicast ladder — so a dead relay costs latency,
     // never answers.
-    double budget = options_.request_timeout_ms * options_.relay_timeout_factor;
+    double budget = options_.request_timeout_ms * kRelayTimeoutFactor;
     loop.Schedule(budget, [&, index] {
       RelayBatch& b = batches[index];
       if (b.resolved) return;

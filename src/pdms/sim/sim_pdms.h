@@ -59,9 +59,6 @@ struct SimOptions {
   /// instead of per-scan unicast. Answer-neutral: a failed or timed-out
   /// relay falls back to the unicast ladder per relation.
   bool relay_fanout = true;
-  /// A relay batch gets `request_timeout_ms * relay_timeout_factor` before
-  /// the coordinator falls back to unicast for its unresolved relations.
-  double relay_timeout_factor = 2.5;
 };
 
 /// The distributed counterpart of the `Pdms` facade: the same catalog and

@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "pdms/core/cost_estimator.h"
-#include "pdms/exec/thread_pool.h"
 #include "pdms/gen/topology.h"
 #include "pdms/sim/sim_pdms.h"
 #include "pdms/util/strings.h"
@@ -62,8 +61,6 @@ struct EqConfig {
   uint64_t seed = 1;
   bool cost_aware = false;
   bool relay_fanout = true;
-  size_t threads = 1;
-  exec::ThreadPool* pool = nullptr;
   std::string crashed_peer;  // empty = fault-free
 };
 
@@ -80,8 +77,6 @@ Result<EqRun> RunOnce(const gen::Topology& topology, const LinkMap& links,
   options.request_timeout_ms = 200.0;
   options.reform.cost_aware = config.cost_aware;
   options.relay_fanout = config.relay_fanout;
-  options.reform.threads = config.threads;
-  options.reform.executor = config.pool;
   sim::SimPdms sim(topology.network, topology.data, options);
   if (!config.crashed_peer.empty()) {
     sim.SetPeerCrashed(config.crashed_peer, true);
@@ -146,41 +141,6 @@ TEST(CostEquivalence, CostAwareMatchesCostBlindAcrossSeeds) {
 
     EXPECT_EQ(blind_run->answers, aware_run->answers);
     EXPECT_EQ(blind_run->report, aware_run->report);
-  }
-}
-
-TEST(CostEquivalence, CostAwareAnswersAreThreadCountInvariant) {
-  gen::TopologyConfig topo_config;
-  topo_config.kind = gen::TopologyConfig::Kind::kCommunity;
-  topo_config.num_peers = 18;
-  topo_config.num_communities = 3;
-  topo_config.replicas = 1;
-  topo_config.seed = 77;
-  auto topology = gen::GenerateTopology(topo_config);
-  ASSERT_TRUE(topology.ok());
-
-  gen::LinkMapConfig link_config;
-  link_config.shape = gen::LinkMapConfig::Shape::kClusteredWan;
-  LinkMap links = GenerateLinkMap(*topology, link_config);
-
-  exec::ThreadPool pool(2);
-  for (size_t index : {0u, 7u, 17u}) {
-    SCOPED_TRACE(StrFormat("query index %zu", index));
-    const ConjunctiveQuery query = gen::TopologyQuery(index, 1);
-    EqConfig serial;
-    serial.seed = 9;
-    serial.cost_aware = true;
-    auto serial_run = RunOnce(*topology, links, query, serial);
-    ASSERT_TRUE(serial_run.ok()) << serial_run.status().ToString();
-
-    EqConfig threaded = serial;
-    threaded.threads = 2;
-    threaded.pool = &pool;
-    auto threaded_run = RunOnce(*topology, links, query, threaded);
-    ASSERT_TRUE(threaded_run.ok()) << threaded_run.status().ToString();
-
-    EXPECT_EQ(serial_run->answers, threaded_run->answers);
-    EXPECT_EQ(serial_run->report, threaded_run->report);
   }
 }
 

@@ -1,112 +1,50 @@
+// The serving executor's worker pool (docs/parallel_execution.md): one
+// FIFO queue drained by a fixed set of workers, whose destructor runs
+// every queued task before it joins.
+
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "pdms/exec/parallel_for.h"
 #include "pdms/exec/thread_pool.h"
 
 namespace pdms {
 namespace exec {
 namespace {
 
-TEST(ThreadPool, RunsSubmittedTasks) {
-  ThreadPool pool(4);
+TEST(ThreadPool, RunsEverySubmittedTask) {
   std::atomic<int> ran{0};
-  TaskGroup group(&pool);
-  for (int i = 0; i < 100; ++i) {
-    group.Run([&ran] { ran.fetch_add(1); });
+  {
+    ThreadPool pool(4);
+    for (int i = 0; i < 100; ++i) {
+      pool.Submit([&ran] { ran.fetch_add(1); });
+    }
   }
-  group.Wait();
   EXPECT_EQ(ran.load(), 100);
 }
 
-TEST(ThreadPool, ZeroWorkerPoolRunsInline) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.workers(), 0u);
-  int ran = 0;
-  TaskGroup group(&pool);
-  group.Run([&ran] { ++ran; });
-  // Inline execution: visible immediately, before Wait.
-  EXPECT_EQ(ran, 1);
-  group.Wait();
-}
-
-TEST(TaskGroup, NullPoolRunsInline) {
-  int ran = 0;
-  TaskGroup group(nullptr);
-  group.Run([&ran] { ++ran; });
-  EXPECT_EQ(ran, 1);
-}
-
-TEST(TaskGroup, WaitIsRepeatable) {
-  ThreadPool pool(2);
-  std::atomic<int> ran{0};
-  TaskGroup group(&pool);
-  group.Run([&ran] { ran.fetch_add(1); });
-  group.Wait();
-  group.Wait();
-  EXPECT_EQ(ran.load(), 1);
-  // The destructor's backstop Wait must also be harmless.
-}
-
-TEST(TaskGroup, NestedForkJoinDoesNotDeadlock) {
-  // More outstanding groups than workers: only help-first stealing in
-  // Wait keeps this from deadlocking. Three levels of nesting, fan-out 4,
-  // on a pool of 2.
-  ThreadPool pool(2);
-  std::atomic<int> leaves{0};
-  TaskGroup top(&pool);
-  for (int i = 0; i < 4; ++i) {
-    top.Run([&pool, &leaves] {
-      TaskGroup mid(&pool);
-      for (int j = 0; j < 4; ++j) {
-        mid.Run([&pool, &leaves] {
-          TaskGroup bottom(&pool);
-          for (int k = 0; k < 4; ++k) {
-            bottom.Run([&leaves] { leaves.fetch_add(1); });
-          }
-          bottom.Wait();
-        });
-      }
-      mid.Wait();
-    });
+TEST(ThreadPool, OneWorkerRunsTasksInOrderAndDrainsOnDestruction) {
+  // The first task keeps the only worker busy while the rest are queued
+  // and the pool is destroyed, so the destructor finds them still waiting:
+  // it must run all of them, oldest first, before it joins.
+  constexpr size_t kTasks = 50;
+  std::vector<size_t> order;  // written by the worker only
+  {
+    ThreadPool pool(1);
+    pool.Submit(
+        [] { std::this_thread::sleep_for(std::chrono::milliseconds(50)); });
+    for (size_t i = 0; i < kTasks; ++i) {
+      pool.Submit([&order, i] { order.push_back(i); });
+    }
   }
-  top.Wait();
-  EXPECT_EQ(leaves.load(), 64);
-}
-
-TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  ParallelFor(&pool, hits.size(), [&hits](size_t i) { hits[i].fetch_add(1); });
-  for (size_t i = 0; i < hits.size(); ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-  }
-}
-
-TEST(ParallelFor, SerialFallbackPreservesIndexOrder) {
-  std::vector<size_t> order;
-  ParallelFor(nullptr, 5, [&order](size_t i) { order.push_back(i); });
-  EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2, 3, 4}));
-}
-
-TEST(ParallelFor, PerIndexSlotsMergeDeterministically) {
-  // The usage pattern the evaluator relies on: concurrent writers to
-  // disjoint slots, merged after the barrier.
-  ThreadPool pool(8);
-  constexpr size_t kN = 500;
-  std::vector<size_t> slots(kN, 0);
-  ParallelFor(&pool, kN, [&slots](size_t i) { slots[i] = i + 1; });
-  size_t sum = std::accumulate(slots.begin(), slots.end(), size_t{0});
-  EXPECT_EQ(sum, kN * (kN + 1) / 2);
-}
-
-TEST(ThreadPool, TryRunOneDrainsQueue) {
-  ThreadPool pool(0);
-  EXPECT_FALSE(pool.TryRunOne());
+  std::vector<size_t> want(kTasks);
+  std::iota(want.begin(), want.end(), size_t{0});
+  EXPECT_EQ(order, want);
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 // on seeded random PDMSs with data — the paper's Figure-3 chain-of-peers
 // shape — the vectorized evaluator must return byte-identical answers to
 // the legacy tuple-at-a-time evaluator after canonical ordering, across
-// thread counts (1/2/8) and plan-cache states (cold, warm, shared). The
+// plan-cache states (cold, warm, shared). The
 // legacy evaluator stays in the tree as the oracle (legacy_oracle.h)
 // exactly so this suite can hold the line.
 
@@ -43,10 +43,8 @@ gen::Workload MakeWorkload(uint64_t seed, size_t facts_per_stored,
   return std::move(*workload);
 }
 
-Pdms MakePdms(const gen::Workload& workload, size_t threads) {
-  ReformulationOptions options;
-  options.threads = threads;
-  Pdms pdms(options);
+Pdms MakePdms(const gen::Workload& workload) {
+  Pdms pdms;
   *pdms.mutable_network() = workload.network;
   *pdms.mutable_database() = workload.data;
   return pdms;
@@ -82,20 +80,17 @@ Outcome RunOracle(Pdms* pdms, const ConjunctiveQuery& query) {
   return Render(LegacyAnswerWithReport(pdms, query));
 }
 
-TEST(QpEquivalence, VectorizedMatchesLegacyAcrossSeedsAndThreads) {
+TEST(QpEquivalence, VectorizedMatchesLegacyAcrossSeeds) {
   for (uint64_t seed : {3u, 17u, 58u, 104u}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     gen::Workload workload =
         MakeWorkload(seed, /*facts_per_stored=*/6, /*value_domain=*/8);
-    Pdms legacy = MakePdms(workload, /*threads=*/1);
+    Pdms legacy = MakePdms(workload);
     Outcome want = RunOracle(&legacy, workload.query);
-    for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-      SCOPED_TRACE("threads " + std::to_string(threads));
-      Pdms vectorized = MakePdms(workload, threads);
-      Outcome got = RunOne(&vectorized, workload.query);
-      EXPECT_EQ(got.answers, want.answers);
-      EXPECT_EQ(got.report, want.report);
-    }
+    Pdms vectorized = MakePdms(workload);
+    Outcome got = RunOne(&vectorized, workload.query);
+    EXPECT_EQ(got.answers, want.answers);
+    EXPECT_EQ(got.report, want.report);
   }
 }
 
@@ -105,8 +100,8 @@ TEST(QpEquivalence, SparseAndDenseValueDomains) {
   for (int64_t domain : {int64_t{2}, int64_t{64}}) {
     SCOPED_TRACE("domain " + std::to_string(domain));
     gen::Workload workload = MakeWorkload(29, /*facts_per_stored=*/8, domain);
-    Pdms legacy = MakePdms(workload, 1);
-    Pdms vectorized = MakePdms(workload, 2);
+    Pdms legacy = MakePdms(workload);
+    Pdms vectorized = MakePdms(workload);
     Outcome want = RunOracle(&legacy, workload.query);
     Outcome got = RunOne(&vectorized, workload.query);
     EXPECT_EQ(got.answers, want.answers);
@@ -116,14 +111,14 @@ TEST(QpEquivalence, SparseAndDenseValueDomains) {
 
 TEST(QpEquivalence, PlanCacheStateDoesNotChangeAnswers) {
   gen::Workload workload = MakeWorkload(41, 6, 8);
-  Pdms legacy = MakePdms(workload, 1);
+  Pdms legacy = MakePdms(workload);
   Outcome want = RunOracle(&legacy, workload.query);
 
   // Cold, then warm through the same facade-attached cache: the second
   // query reuses both the rewriting and the cached physical plan.
   cache::PlanCache cache;
   obs::MetricsRegistry metrics;
-  Pdms vectorized = MakePdms(workload, 2);
+  Pdms vectorized = MakePdms(workload);
   vectorized.set_plan_cache(&cache);
   vectorized.set_metrics(&metrics);
   Outcome cold = RunOne(&vectorized, workload.query);
@@ -135,7 +130,7 @@ TEST(QpEquivalence, PlanCacheStateDoesNotChangeAnswers) {
 
   // A different facade sharing the cache (the serving pattern) also
   // reuses the plan slot and still matches.
-  Pdms sharer = MakePdms(workload, 1);
+  Pdms sharer = MakePdms(workload);
   sharer.set_plan_cache(&cache);
   Outcome shared = RunOne(&sharer, workload.query);
   EXPECT_EQ(shared.answers, want.answers);
@@ -146,8 +141,8 @@ TEST(QpEquivalence, InsertsBetweenQueriesKeepTheEnginesAligned) {
   // both engines (the catalog refreshes incrementally; the cached plan's
   // fingerprint goes stale and is recompiled).
   gen::Workload workload = MakeWorkload(77, 5, 6);
-  Pdms legacy = MakePdms(workload, 1);
-  Pdms vectorized = MakePdms(workload, 2);
+  Pdms legacy = MakePdms(workload);
+  Pdms vectorized = MakePdms(workload);
   RunOracle(&legacy, workload.query);
   RunOne(&vectorized, workload.query);
 
@@ -197,7 +192,7 @@ TEST(QpEquivalence, GateIsConsultedOncePerDistinctRelation) {
   for (uint64_t seed : {3u, 17u, 58u}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     gen::Workload workload = MakeWorkload(seed, 6, 8);
-    Pdms pdms = MakePdms(workload, 1);
+    Pdms pdms = MakePdms(workload);
     auto ref = pdms.Reformulate(workload.query);
     ASSERT_TRUE(ref.ok()) << ref.status().ToString();
     const UnionQuery& uq = ref->rewriting;
@@ -230,8 +225,7 @@ TEST(QpEquivalence, GateIsConsultedOncePerDistinctRelation) {
           return verdict(relation);
         };
         auto got = engine.EvaluateUnionDegraded(uq, workload.data, counting,
-                                                nullptr, nullptr, nullptr,
-                                                &slot);
+                                                nullptr, nullptr, &slot);
         ASSERT_TRUE(got.ok()) << got.status().ToString();
         EXPECT_EQ(calls, order);
         EXPECT_EQ(got->answers.tuples(), want->answers.tuples());
@@ -245,7 +239,7 @@ TEST(QpEquivalence, GateIsConsultedOncePerDistinctRelation) {
 // A facade whose every stored relation is flaky and slow, so probes retry
 // and spend the deadline's budget.
 Pdms FaultyPdms(const gen::Workload& workload, Deadline deadline) {
-  Pdms pdms = MakePdms(workload, 1);
+  Pdms pdms = MakePdms(workload);
   pdms.set_fault_seed(11);
   FaultProfile flaky;
   flaky.failure_probability = 0.4;

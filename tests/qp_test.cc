@@ -333,7 +333,7 @@ void ExpectSameAnswers(const ConjunctiveQuery& cq, const Database& db) {
   }
   auto plan = PlanDisjunct(cq, db, catalog);
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  auto got = ExecuteDisjunct(*plan, db, catalog, nullptr, nullptr);
+  auto got = ExecuteDisjunct(*plan, db, catalog, nullptr);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   auto want = EvaluateCQ(cq, db);
   ASSERT_TRUE(want.ok());
@@ -366,10 +366,10 @@ TEST(Vectorized, ExecutionIsDeterministicAcrossRepeats) {
   catalog.Ensure(*db.Find("edge"));
   auto plan = PlanDisjunct(cq, db, catalog);
   ASSERT_TRUE(plan.ok());
-  auto first = ExecuteDisjunct(*plan, db, catalog, nullptr, nullptr);
+  auto first = ExecuteDisjunct(*plan, db, catalog, nullptr);
   ASSERT_TRUE(first.ok());
   for (int i = 0; i < 3; ++i) {
-    auto again = ExecuteDisjunct(*plan, db, catalog, nullptr, nullptr);
+    auto again = ExecuteDisjunct(*plan, db, catalog, nullptr);
     ASSERT_TRUE(again.ok());
     EXPECT_EQ(*again, *first);  // identical order, not just set-equal
   }
@@ -414,14 +414,12 @@ TEST(Engine, PhysicalPlanSlotReusesUntilStatsMove) {
   PhysicalPlanSlot slot;
   obs::MetricsRegistry metrics;
   auto first =
-      engine.EvaluateUnionDegraded(uq, db, nullptr, nullptr, &metrics,
-                                   nullptr, &slot);
+      engine.EvaluateUnionDegraded(uq, db, nullptr, nullptr, &metrics, &slot);
   ASSERT_TRUE(first.ok());
   EXPECT_EQ(metrics.counter("qp.plans"), 1u);
 
   auto second =
-      engine.EvaluateUnionDegraded(uq, db, nullptr, nullptr, &metrics,
-                                   nullptr, &slot);
+      engine.EvaluateUnionDegraded(uq, db, nullptr, nullptr, &metrics, &slot);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(metrics.counter("qp.plans"), 1u);
   EXPECT_EQ(metrics.counter("qp.plan_reused"), 1u);
@@ -430,8 +428,7 @@ TEST(Engine, PhysicalPlanSlotReusesUntilStatsMove) {
   // New data moves the statistics fingerprint: the slot is replanned.
   db.Insert("edge", {Value::Int(4), Value::Int(6)});
   auto third =
-      engine.EvaluateUnionDegraded(uq, db, nullptr, nullptr, &metrics,
-                                   nullptr, &slot);
+      engine.EvaluateUnionDegraded(uq, db, nullptr, nullptr, &metrics, &slot);
   ASSERT_TRUE(third.ok());
   EXPECT_EQ(metrics.counter("qp.plans"), 2u);
   EXPECT_GT(third->answers.size(), first->answers.size());

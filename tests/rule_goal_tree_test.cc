@@ -31,7 +31,8 @@ TEST(RuleGoalTree, RootStructureMirrorsQuery) {
     stored sr(x, y) <= A:R(x, y).
     stored ss(x, y) <= A:S(x, y).
   )");
-  TreeBuilder builder(rules, {});
+  const Reachability reach = Reachability::Compute(rules, {}, {});
+  TreeBuilder builder(rules, reach, {});
   auto tree = builder.Build(Q("q(x, z) :- A:R(x, y), A:S(y, z), x < 3."));
   ASSERT_TRUE(tree.ok());
   ASSERT_NE(tree->root, nullptr);
@@ -50,7 +51,8 @@ TEST(RuleGoalTree, StorageMcdProducesStoredLeaf) {
     peer A { relation R(x, y); }
     stored sr(x, y) <= A:R(x, y).
   )");
-  TreeBuilder builder(rules, {});
+  const Reachability reach = Reachability::Compute(rules, {}, {});
+  TreeBuilder builder(rules, reach, {});
   auto tree = builder.Build(Q("q(x) :- A:R(x, y)."));
   ASSERT_TRUE(tree.ok());
   const GoalNode& goal = *tree->root->children[0];
@@ -72,7 +74,8 @@ TEST(RuleGoalTree, UncLabelCoversJoinedSiblings) {
     mapping (x, y) : S:V(x, y) <= M:E1(x, z), M:E2(z, y).
     stored sv(x, y) <= S:V(x, y).
   )");
-  TreeBuilder builder(rules, {});
+  const Reachability reach = Reachability::Compute(rules, {}, {});
+  TreeBuilder builder(rules, reach, {});
   auto tree = builder.Build(Q("q(x, y) :- M:E1(x, z), M:E2(z, y)."));
   ASSERT_TRUE(tree.ok());
   const GoalNode& e1 = *tree->root->children[0];
@@ -94,7 +97,8 @@ TEST(RuleGoalTree, GuardStopsCycles) {
     stored sb(x) <= B:S(x).
   )");
   ReformulationOptions options;
-  TreeBuilder builder(rules, options);
+  const Reachability reach = Reachability::Compute(rules, {}, {});
+  TreeBuilder builder(rules, reach, options);
   auto tree = builder.Build(Q("q(x) :- A:R(x)."));
   ASSERT_TRUE(tree.ok());
   EXPECT_FALSE(tree->stats.tree_truncated);
@@ -111,7 +115,8 @@ TEST(RuleGoalTree, MutualRecursionThroughDefinitionalRulesTerminates) {
     mapping A:P(x) :- B:Base(x).
     stored sb(x) <= B:Base(x).
   )");
-  TreeBuilder builder(rules, {});
+  const Reachability reach = Reachability::Compute(rules, {}, {});
+  TreeBuilder builder(rules, reach, {});
   auto tree = builder.Build(Q("q(x) :- A:P(x)."));
   ASSERT_TRUE(tree.ok());
   EXPECT_FALSE(tree->stats.tree_truncated);
@@ -127,7 +132,8 @@ TEST(RuleGoalTree, NodeBudgetTruncates) {
   )");
   ReformulationOptions options;
   options.max_tree_nodes = 4;  // query root + subgoal already uses 2
-  TreeBuilder builder(rules, options);
+  const Reachability reach = Reachability::Compute(rules, {}, {});
+  TreeBuilder builder(rules, reach, options);
   auto tree = builder.Build(Q("q(x) :- A:R(x, y)."));
   ASSERT_TRUE(tree.ok());
   EXPECT_TRUE(tree->stats.tree_truncated);
@@ -143,14 +149,15 @@ TEST(RuleGoalTree, DeadEndMarkingPropagates) {
   )");
   ReformulationOptions options;
   options.prune_dead_ends = false;  // build the dead subtree, then mark
-  TreeBuilder builder(rules, options);
+  const Reachability reach = Reachability::Compute(rules, {}, {});
+  TreeBuilder builder(rules, reach, options);
   auto tree = builder.Build(Q("q(x) :- A:R(x)."));
   ASSERT_TRUE(tree.ok());
   // With the pass disabled everything is viable by definition.
   EXPECT_TRUE(tree->root->viable);
 
   ReformulationOptions with_pruning;
-  TreeBuilder builder2(rules, with_pruning);
+  TreeBuilder builder2(rules, reach, with_pruning);
   auto tree2 = builder2.Build(Q("q(x) :- A:R(x)."));
   ASSERT_TRUE(tree2.ok());
   EXPECT_FALSE(tree2->root->viable);
@@ -168,12 +175,13 @@ TEST(RuleGoalTree, ReachabilityPruningSkipsOrphanBranches) {
     stored sl(x) <= B:Live(x).
   )");
   ReformulationOptions pruned;
-  TreeBuilder builder(rules, pruned);
+  const Reachability reach = Reachability::Compute(rules, {}, {});
+  TreeBuilder builder(rules, reach, pruned);
   auto tree = builder.Build(Q("q(x) :- A:R(x)."));
   ASSERT_TRUE(tree.ok());
   ReformulationOptions unpruned;
   unpruned.prune_dead_ends = false;
-  TreeBuilder builder2(rules, unpruned);
+  TreeBuilder builder2(rules, reach, unpruned);
   auto tree2 = builder2.Build(Q("q(x) :- A:R(x)."));
   ASSERT_TRUE(tree2.ok());
   EXPECT_LT(tree->stats.total_nodes(), tree2->stats.total_nodes());
@@ -188,7 +196,8 @@ TEST(RuleGoalTree, ConstraintPruningCutsContradictoryExpansions) {
     stored sr(x) <= A:R(x).
   )");
   ReformulationOptions options;
-  TreeBuilder builder(rules, options);
+  const Reachability reach = Reachability::Compute(rules, {}, {});
+  TreeBuilder builder(rules, reach, options);
   auto tree = builder.Build(Q("q(x) :- A:Small(x), x > 7."));
   ASSERT_TRUE(tree.ok());
   EXPECT_GT(tree->stats.pruned_unsat, 0u);
@@ -214,7 +223,8 @@ TEST(RuleGoalTree, PriorityOrderPutsCheapExpansionsFirst) {
   )");
   ReformulationOptions options;
   options.order_expansions = true;
-  TreeBuilder builder(rules, options);
+  const Reachability reach = Reachability::Compute(rules, {}, {});
+  TreeBuilder builder(rules, reach, options);
   auto tree = builder.Build(Q("q(x) :- A:R(x)."));
   ASSERT_TRUE(tree.ok());
   const GoalNode& goal = *tree->root->children[0];
@@ -230,7 +240,8 @@ TEST(RuleGoalTree, ToStringDumpsStructure) {
     peer A { relation R(x, y); }
     stored sr(x, y) <= A:R(x, y).
   )");
-  TreeBuilder builder(rules, {});
+  const Reachability reach = Reachability::Compute(rules, {}, {});
+  TreeBuilder builder(rules, reach, {});
   auto tree = builder.Build(Q("q(x) :- A:R(x, y), x < 3."));
   ASSERT_TRUE(tree.ok());
   std::string dump = tree->ToString();
@@ -248,7 +259,8 @@ TEST(RuleGoalTree, TooManyQuerySubgoalsRejected) {
   )");
   std::vector<Atom> body(33, Atom("A:R", {Term::Var("x")}));
   ConjunctiveQuery query(Atom("q", {Term::Var("x")}), body);
-  TreeBuilder builder(rules, {});
+  const Reachability reach = Reachability::Compute(rules, {}, {});
+  TreeBuilder builder(rules, reach, {});
   auto tree = builder.Build(query);
   EXPECT_FALSE(tree.ok());
   EXPECT_EQ(tree.status().code(), StatusCode::kUnsupported);
@@ -259,7 +271,8 @@ TEST(RuleGoalTree, UnsafeQueryRejected) {
     peer A { relation R(x); }
     stored sr(x) <= A:R(x).
   )");
-  TreeBuilder builder(rules, {});
+  const Reachability reach = Reachability::Compute(rules, {}, {});
+  TreeBuilder builder(rules, reach, {});
   auto tree = builder.Build(Q("q(w) :- A:R(x)."));
   EXPECT_FALSE(tree.ok());
 }

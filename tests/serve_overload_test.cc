@@ -84,9 +84,7 @@ class ServerFixture {
 // as the server frames it, with the volatile server_ms field zeroed.
 std::string ExpectedAnswerBytes(uint64_t request_id,
                                 const std::string& query) {
-  ReformulationOptions options;
-  options.threads = 1;  // the server's worker facades are serial
-  Pdms pdms(options);
+  Pdms pdms;
   Status loaded = pdms.LoadProgram(kProgram);
   PDMS_CHECK_MSG(loaded.ok(), loaded.ToString().c_str());
   Result<AnswerResult> result = pdms.AnswerWithReport(query);

@@ -9,7 +9,7 @@
 //
 // It covers generator worlds (seeds x diameters 1-4, comparisons on), the
 // 256-facts-per-relation top-stratum serving shape, and hand-built unions
-// for each way two prefixes can agree or differ, at 0, 2 and 4 workers.
+// for each way two prefixes can agree or differ.
 
 #include <cstddef>
 #include <string>
@@ -19,7 +19,6 @@
 
 #include "pdms/core/pdms.h"
 #include "pdms/eval/evaluator.h"
-#include "pdms/exec/thread_pool.h"
 #include "pdms/gen/workload.h"
 #include "pdms/lang/parser.h"
 #include "pdms/obs/metrics.h"
@@ -64,8 +63,7 @@ bool Admitted(const ConjunctiveQuery& cq, const StoredGate& gate) {
 void ExpectLeavesMatchDisjuncts(const UnionPlan& plan, const UnionQuery& uq,
                                 const Database& db,
                                 const ColumnarCatalog& catalog,
-                                const StoredGate& gate,
-                                exec::ThreadPool* pool) {
+                                const StoredGate& gate) {
   ASSERT_EQ(plan.disjuncts.size(), uq.size());
   std::vector<char> run(uq.size(), 0);
   for (size_t d = 0; d < uq.size(); ++d) {
@@ -73,8 +71,7 @@ void ExpectLeavesMatchDisjuncts(const UnionPlan& plan, const UnionQuery& uq,
   }
   std::vector<const JoinTable*> tables(plan.join_tables.size(), nullptr);
   std::vector<std::vector<Tuple>> shards(uq.size());
-  ExecuteUnion(plan, run, MarkPaths(plan, run), tables, db, catalog, pool,
-               &shards);
+  ExecuteUnion(plan, run, MarkPaths(plan, run), tables, db, catalog, &shards);
   for (size_t d = 0; d < uq.size(); ++d) {
     SCOPED_TRACE("disjunct " + std::to_string(d) + ": " +
                  uq.disjuncts()[d].ToString());
@@ -84,14 +81,14 @@ void ExpectLeavesMatchDisjuncts(const UnionPlan& plan, const UnionQuery& uq,
     }
     auto dp = PlanDisjunct(uq.disjuncts()[d], db, catalog);
     ASSERT_TRUE(dp.ok()) << dp.status().ToString();
-    auto alone = ExecuteDisjunct(*dp, db, catalog, nullptr, nullptr);
+    auto alone = ExecuteDisjunct(*dp, db, catalog, nullptr);
     ASSERT_TRUE(alone.ok()) << alone.status().ToString();
     EXPECT_EQ(shards[d], *alone);
   }
 }
 
-// The full check of one union at 0, 2 and 4 workers: leaves against
-// disjuncts, and the engine's union evaluation against the legacy oracle.
+// The full check of one union: leaves against disjuncts, and the engine's
+// union evaluation against the legacy oracle.
 void CheckUnion(const UnionQuery& uq, const Database& db,
                 const StoredGate& gate = nullptr) {
   ColumnarCatalog catalog = EnsuredCatalog(uq, db);
@@ -100,18 +97,13 @@ void CheckUnion(const UnionQuery& uq, const Database& db,
   auto want = EvaluateUnionDegraded(uq, db, gate);
   ASSERT_TRUE(want.ok()) << want.status().ToString();
   want->answers.SortCanonical();
-  for (size_t workers : {size_t{0}, size_t{2}, size_t{4}}) {
-    SCOPED_TRACE("workers " + std::to_string(workers));
-    exec::ThreadPool pool(workers);
-    exec::ThreadPool* p = workers == 0 ? nullptr : &pool;
-    ExpectLeavesMatchDisjuncts(*plan, uq, db, catalog, gate, p);
-    Engine engine;
-    auto got = engine.EvaluateUnionDegraded(uq, db, gate, nullptr, nullptr, p);
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    EXPECT_EQ(got->answers.tuples(), want->answers.tuples());
-    EXPECT_EQ(got->disjuncts_skipped, want->disjuncts_skipped);
-    EXPECT_EQ(got->unavailable_relations, want->unavailable_relations);
-  }
+  ExpectLeavesMatchDisjuncts(*plan, uq, db, catalog, gate);
+  Engine engine;
+  auto got = engine.EvaluateUnionDegraded(uq, db, gate);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(got->answers.tuples(), want->answers.tuples());
+  EXPECT_EQ(got->disjuncts_skipped, want->disjuncts_skipped);
+  EXPECT_EQ(got->unavailable_relations, want->unavailable_relations);
 }
 
 UnionQuery Reformulated(const PdmsNetwork& network, const Database& data,
@@ -262,10 +254,10 @@ TEST(SharedPrefix, PrefixesThatDifferOnlyInBuildSide) {
   std::vector<const JoinTable*> tables(plan.join_tables.size(), nullptr);
   std::vector<std::vector<Tuple>> shards(2);
   EXPECT_EQ(ExecuteUnion(plan, run, MarkPaths(plan, run), tables, db,
-                         catalog, nullptr, &shards),
+                         catalog, &shards),
             3u);
-  auto want_plain = ExecuteDisjunct(*plain, db, catalog, nullptr, nullptr);
-  auto want_flipped = ExecuteDisjunct(flipped, db, catalog, nullptr, nullptr);
+  auto want_plain = ExecuteDisjunct(*plain, db, catalog, nullptr);
+  auto want_flipped = ExecuteDisjunct(flipped, db, catalog, nullptr);
   ASSERT_TRUE(want_plain.ok() && want_flipped.ok());
   EXPECT_EQ(shards[0], *want_plain);
   EXPECT_EQ(shards[1], *want_flipped);
@@ -336,35 +328,30 @@ TEST(SharedPrefix, ExecStepsCountsEachSharedPrefixOnce) {
                  Q("q(x, w) :- r(x, y), e(y, w), s(w, z)."),
                  Q("q(x, z) :- r(x, y), s(y, z), z > 100."),
                  Q("q(x, w) :- r(x, y), s(y, z), z > 100, t(z, w).")});
-  for (size_t workers : {size_t{0}, size_t{2}}) {
-    SCOPED_TRACE("workers " + std::to_string(workers));
-    exec::ThreadPool pool(workers);
-    obs::MetricsRegistry metrics;
-    obs::TraceContext trace;
-    Engine engine;
-    auto got = engine.EvaluateUnionDegraded(uq, db, nullptr, &trace, &metrics,
-                                            workers == 0 ? nullptr : &pool);
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    EXPECT_EQ(metrics.counter("qp.exec_steps"), 4u);
-    EXPECT_EQ(metrics.counter("qp.exec_disjuncts"), 6u);
-    const obs::Span* plan_span = nullptr;
-    const obs::Span* exec_span = nullptr;
-    for (const obs::Span& s : trace.spans()) {
-      if (s.name == "qp.plan") plan_span = &s;
-      if (s.name == "qp.exec") exec_span = &s;
-    }
-    ASSERT_NE(plan_span, nullptr);
-    ASSERT_NE(exec_span, nullptr);
-    ASSERT_NE(plan_span->FindAttribute("nodes"), nullptr);
-    EXPECT_EQ(*plan_span->FindAttribute("nodes"), "7");
-    ASSERT_NE(exec_span->FindAttribute("steps"), nullptr);
-    EXPECT_EQ(*exec_span->FindAttribute("steps"), "4");
+  obs::MetricsRegistry metrics;
+  obs::TraceContext trace;
+  Engine engine;
+  auto got = engine.EvaluateUnionDegraded(uq, db, nullptr, &trace, &metrics);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(metrics.counter("qp.exec_steps"), 4u);
+  EXPECT_EQ(metrics.counter("qp.exec_disjuncts"), 6u);
+  const obs::Span* plan_span = nullptr;
+  const obs::Span* exec_span = nullptr;
+  for (const obs::Span& s : trace.spans()) {
+    if (s.name == "qp.plan") plan_span = &s;
+    if (s.name == "qp.exec") exec_span = &s;
   }
+  ASSERT_NE(plan_span, nullptr);
+  ASSERT_NE(exec_span, nullptr);
+  ASSERT_NE(plan_span->FindAttribute("nodes"), nullptr);
+  EXPECT_EQ(*plan_span->FindAttribute("nodes"), "7");
+  ASSERT_NE(exec_span->FindAttribute("steps"), nullptr);
+  EXPECT_EQ(*exec_span->FindAttribute("steps"), "4");
   CheckUnion(uq, db);
 }
 
 // The step kernel reuses one intermediate buffer per trie depth and one
-// scratch set per task, so the cases below make consecutive siblings
+// scratch set per execution, so the cases below make consecutive siblings
 // differ in everything a stale buffer could leak: slot width, row count,
 // depth, and emptiness.
 
@@ -418,44 +405,39 @@ TEST(SharedPrefix, WarmEngineAlternatingOpenAndVetoingGates) {
     return relation == "blocked" ? Status::Unavailable("gated off")
                                  : Status::Ok();
   };
-  for (size_t workers : {size_t{0}, size_t{2}, size_t{4}}) {
-    SCOPED_TRACE("workers " + std::to_string(workers));
-    exec::ThreadPool pool(workers);
-    exec::ThreadPool* p = workers == 0 ? nullptr : &pool;
-    Engine engine;
-    PhysicalPlanSlot slot;
-    size_t steps[3] = {0, 0, 0};  // per gate: open, vetoing, none
-    for (size_t run = 0; run < 6; ++run) {
-      SCOPED_TRACE("run " + std::to_string(run));
-      // Open, vetoing, no gate at all, and around again.
-      StoredGate gate = run % 3 == 0 ? open : run % 3 == 1 ? vetoing : nullptr;
-      auto want = EvaluateUnionDegraded(uq, db, gate);
-      ASSERT_TRUE(want.ok()) << want.status().ToString();
-      want->answers.SortCanonical();
-      obs::MetricsRegistry metrics;
-      auto got = engine.EvaluateUnionDegraded(uq, db, gate, nullptr, &metrics,
-                                              p, &slot);
-      ASSERT_TRUE(got.ok()) << got.status().ToString();
-      EXPECT_EQ(got->answers.tuples(), want->answers.tuples());
-      EXPECT_EQ(got->disjuncts_skipped, want->disjuncts_skipped);
-      EXPECT_EQ(got->unavailable_relations, want->unavailable_relations);
-      EXPECT_EQ(metrics.counter("qp.plan_reused"), run == 0 ? 0u : 1u);
-      EXPECT_EQ(metrics.counter("qp.exec_disjuncts"),
-                uq.size() - want->disjuncts_skipped);
-      // The warm run walks exactly the paths a fresh engine marks for the
-      // same gate: a vetoed disjunct's private steps are not run.
-      obs::MetricsRegistry fresh_metrics;
-      Engine fresh;
-      ASSERT_TRUE(fresh.EvaluateUnionDegraded(uq, db, gate, nullptr,
-                                              &fresh_metrics, p)
-                      .ok());
-      EXPECT_EQ(metrics.counter("qp.exec_steps"),
-                fresh_metrics.counter("qp.exec_steps"));
-      steps[run % 3] = metrics.counter("qp.exec_steps");
-    }
-    EXPECT_LT(steps[1], steps[0]);
-    EXPECT_EQ(steps[2], steps[0]);
+  Engine engine;
+  PhysicalPlanSlot slot;
+  size_t steps[3] = {0, 0, 0};  // per gate: open, vetoing, none
+  for (size_t run = 0; run < 6; ++run) {
+    SCOPED_TRACE("run " + std::to_string(run));
+    // Open, vetoing, no gate at all, and around again.
+    StoredGate gate = run % 3 == 0 ? open : run % 3 == 1 ? vetoing : nullptr;
+    auto want = EvaluateUnionDegraded(uq, db, gate);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    want->answers.SortCanonical();
+    obs::MetricsRegistry metrics;
+    auto got = engine.EvaluateUnionDegraded(uq, db, gate, nullptr, &metrics,
+                                            &slot);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got->answers.tuples(), want->answers.tuples());
+    EXPECT_EQ(got->disjuncts_skipped, want->disjuncts_skipped);
+    EXPECT_EQ(got->unavailable_relations, want->unavailable_relations);
+    EXPECT_EQ(metrics.counter("qp.plan_reused"), run == 0 ? 0u : 1u);
+    EXPECT_EQ(metrics.counter("qp.exec_disjuncts"),
+              uq.size() - want->disjuncts_skipped);
+    // The warm run walks exactly the paths a fresh engine marks for the
+    // same gate: a vetoed disjunct's private steps are not run.
+    obs::MetricsRegistry fresh_metrics;
+    Engine fresh;
+    ASSERT_TRUE(
+        fresh.EvaluateUnionDegraded(uq, db, gate, nullptr, &fresh_metrics)
+            .ok());
+    EXPECT_EQ(metrics.counter("qp.exec_steps"),
+              fresh_metrics.counter("qp.exec_steps"));
+    steps[run % 3] = metrics.counter("qp.exec_steps");
   }
+  EXPECT_LT(steps[1], steps[0]);
+  EXPECT_EQ(steps[2], steps[0]);
   CheckUnion(uq, db, vetoing);
   CheckUnion(uq, db, open);
 }

@@ -9,12 +9,9 @@
 #
 # The serving-throughput bench (plan-cache hit rate and speedup,
 # docs/plan_cache.md) reports into its own BENCH_cache.json so cache
-# regressions are tracked separately from the reformulation numbers.
-#
-# A second serving_throughput run with intra-query parallelism enabled
-# (PDMS_BENCH_THREADS, default 4) reports into BENCH_parallel.json — the
-# concurrent-serving sweep plus the parallel facade numbers
-# (docs/parallel_execution.md).
+# regressions are tracked separately from the reformulation numbers. Its
+# concurrent-serving sweep (1/2/4 server threads over shared caches,
+# docs/parallel_execution.md) is part of the same report.
 #
 # The churn_serving bench (sustained hit rate and tail latency under
 # live catalog churn, dependency-tracked vs wholesale invalidation,
@@ -37,22 +34,20 @@
 # identical answers asserted per run, docs/network_cost_model.md)
 # reports into BENCH_topology.json.
 #
-# Usage: tools/bench_all.sh [out.json] [cache-out.json] [parallel-out.json]
-#                           [churn-out.json] [serving-out.json]
-#                           [slo-out.json] [eval-out.json]
-#                           [topology-out.json]
+# Usage: tools/bench_all.sh [out.json] [cache-out.json] [churn-out.json]
+#                           [serving-out.json] [slo-out.json]
+#                           [eval-out.json] [topology-out.json]
 # Knobs: BUILD_DIR (default build), PDMS_BENCH_* forwarded to the benches.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 OUT="${1:-BENCH_sim.json}"
 CACHE_OUT="${2:-BENCH_cache.json}"
-PARALLEL_OUT="${3:-BENCH_parallel.json}"
-CHURN_OUT="${4:-BENCH_churn.json}"
-SERVING_OUT="${5:-BENCH_serving.json}"
-SLO_OUT="${6:-BENCH_slo.json}"
-EVAL_OUT="${7:-BENCH_eval.json}"
-TOPOLOGY_OUT="${8:-BENCH_topology.json}"
+CHURN_OUT="${3:-BENCH_churn.json}"
+SERVING_OUT="${4:-BENCH_serving.json}"
+SLO_OUT="${5:-BENCH_slo.json}"
+EVAL_OUT="${6:-BENCH_eval.json}"
+TOPOLOGY_OUT="${7:-BENCH_topology.json}"
 BUILD_DIR="${BUILD_DIR:-build}"
 JOBS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
 JSON_DIR="${BUILD_DIR}/bench-json"
@@ -109,17 +104,6 @@ echo "== serving_throughput =="
   printf ']\n'
 } > "${CACHE_OUT}"
 echo "merged cache report into ${CACHE_OUT}"
-
-echo "== serving_throughput (parallel) =="
-PDMS_BENCH_THREADS="${PDMS_BENCH_THREADS:-4}" \
-  "${BUILD_DIR}/bench/serving_throughput" \
-  --json "${JSON_DIR}/serving_throughput_parallel.json"
-{
-  printf '['
-  tr -d '\n' < "${JSON_DIR}/serving_throughput_parallel.json"
-  printf ']\n'
-} > "${PARALLEL_OUT}"
-echo "merged parallel report into ${PARALLEL_OUT}"
 
 echo "== churn_serving =="
 # CI-sized churn: a smaller topology and request stream than the bench

@@ -14,19 +14,16 @@
 #      (availability flip + mapping edit), re-query; the invalidation
 #      counter must advance and answers must match a never-cached
 #      instance (docs/plan_cache.md).
-#   6. ThreadSanitizer gate over the parallel executor: the exec
-#      primitives, the parallel-vs-serial equivalence suite and the
-#      shared-prefix suite under TSan. The equivalence suite checks that
-#      parallel evaluation returns the serial run verbatim (rewritings
-#      with their variable names, answers, reports, counters) at 2, 4 and
-#      8 threads, including a 95,136-node rule-goal tree, and exercises
-#      concurrent serving over shared caches (docs/parallel_execution.md);
-#      the shared-prefix suite fans a union plan's trie subtrees out over
-#      2 and 4 workers, including the buffer-reuse cases (siblings of
+#   6. ThreadSanitizer gate over request-level concurrency: the FIFO
+#      worker pool that runs the serving executor's requests (exec_test),
+#      the concurrent-serving suite (several serving threads, each with
+#      its own facade, over one shared plan cache and goal memo, every
+#      answer equal to the baseline, beside its serial determinism and
+#      95,136-node deep-tree cases; docs/parallel_execution.md) and the
+#      shared-prefix suite, including the buffer-reuse cases (siblings of
 #      different slot widths and row counts, a deep path before a shallow
 #      sibling, a step going empty after a non-empty sibling, one warm
-#      engine alternating open and vetoing gates), where each task owns
-#      its per-depth buffers (docs/query_planning.md).
+#      engine alternating open and vetoing gates; docs/query_planning.md).
 #   7. churn gate: a 32-seed churn-DST smoke (cached and uncached twins
 #      byte-compared under live catalog churn) plus the dependency-
 #      tracked invalidation and peer-health suites, all under TSan,
@@ -47,11 +44,10 @@
 #      engine-vs-legacy-oracle equivalence property suite (the vectorized
 #      engine on every answering path against the tuple-at-a-time
 #      evaluator kept as its oracle), and the client-pool suite re-run
-#      under asan+ubsan and under TSan (the equivalence suite fans
-#      disjuncts out over real worker threads, and its gate-contract
-#      cases pin one gate call per distinct relation in first-use order
-#      and an AccessController whose retries run out a deadline mid-union
-#      against the oracle), the streaming-vs-oracle
+#      under asan+ubsan and under TSan (the equivalence suite's
+#      gate-contract cases pin one gate call per distinct relation in
+#      first-use order and an AccessController whose retries run out a
+#      deadline mid-union against the oracle), the streaming-vs-oracle
 #      equivalence suite (per-rewriting engine evaluation on both
 #      plan-cache branches, early stop, gating order, a fact inserted
 #      between two streams joining in the second) and the pipeline
@@ -65,9 +61,8 @@
 #      (docs/query_planning.md).
 #  11. network-cost gate: the topology/link-map/network-model suite and a
 #      reduced-seed cost-aware-vs-cost-blind equivalence sweep under
-#      asan+ubsan and under TSan (the thread-invariance case runs the
-#      cost-aware SimPdms's evaluation over a real worker pool), plus a
-#      topology_latency bench smoke whose byte-identity check must pass
+#      asan+ubsan and under TSan, plus a topology_latency bench smoke
+#      whose byte-identity check must pass
 #      (docs/network_cost_model.md). The full 200-seed sweep is the
 #      binary's default outside CI.
 #
@@ -126,7 +121,7 @@ echo "== [5/11] cache-coherence smoke =="
 "${BUILD_DIR}/tests/cache_coherence_test" \
   --gtest_filter='CacheCoherence.Smoke'
 
-echo "== [6/11] tsan: exec primitives + parallel equivalence + shared prefix =="
+echo "== [6/11] tsan: worker pool + concurrent serving + shared prefix =="
 cmake --preset tsan > /dev/null
 cmake --build "${TSAN_BUILD_DIR}" -j "${JOBS}" \
   --target exec_test parallel_equivalence_test shared_prefix_test
@@ -257,9 +252,8 @@ echo "== [10/11] qp gate: asan + tsan suites, eval bench smoke =="
 "${ASAN_BUILD_DIR}/tests/pipeline_parity_test"
 "${ASAN_BUILD_DIR}/tests/shared_prefix_test"
 "${ASAN_BUILD_DIR}/tests/serve_client_pool_test"
-# Under TSan: the equivalence suite runs the vectorized engine at 1/2/8
-# threads over shared plan caches, the client-pool suite hands leases
-# across a live server.
+# Under TSan: the equivalence suite shares one plan cache between two
+# facades, the client-pool suite hands leases across a live server.
 cmake --build "${TSAN_BUILD_DIR}" -j "${JOBS}" \
   --target qp_test qp_equivalence_test serve_client_pool_test
 TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
@@ -283,8 +277,6 @@ echo "== [11/11] network-cost gate: asan + tsan suites, topology bench smoke =="
 # explicitly, at a CI-sized seed count, as the named gate).
 "${ASAN_BUILD_DIR}/tests/topology_cost_test"
 PDMS_EQ_SEEDS=32 "${ASAN_BUILD_DIR}/tests/cost_equivalence_test"
-# Under TSan: the thread-invariance case runs the cost-aware SimPdms's
-# evaluation over a 2-worker pool against the serial twin.
 cmake --build "${TSAN_BUILD_DIR}" -j "${JOBS}" \
   --target topology_cost_test cost_equivalence_test
 TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
