@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "pdms/cache/goal_memo.h"
 #include "pdms/cache/plan_cache.h"
 #include "pdms/core/pdms.h"
 #include "pdms/gen/topology.h"
@@ -77,18 +76,14 @@ int main(int argc, char** argv) {
   *tracked.mutable_network() = topology->network;
   *tracked.mutable_database() = topology->data;
   pdms::cache::PlanCache tracked_plans;
-  pdms::cache::GoalMemo tracked_memo;
   tracked.set_plan_cache(&tracked_plans);
-  tracked.set_goal_memo(&tracked_memo);
 
   pdms::Pdms wholesale;
   *wholesale.mutable_network() = topology->network;
   *wholesale.mutable_database() = topology->data;
   pdms::cache::PlanCache wholesale_plans;
   wholesale_plans.set_wholesale_invalidation(true);
-  pdms::cache::GoalMemo wholesale_memo;
   wholesale.set_plan_cache(&wholesale_plans);
-  wholesale.set_goal_memo(&wholesale_memo);
 
   // Catalog + data churn only: transport crashes are meaningless for the
   // in-process facade (the simulated runtime pays for those; see
@@ -196,7 +191,6 @@ int main(int argc, char** argv) {
            tracked_total > 0 ? 1000.0 * requests / tracked_total : 0);
   row->Set("qps_wholesale",
            wholesale_total > 0 ? 1000.0 * requests / wholesale_total : 0);
-  row->Set("goal_memo_hits_tracked", tracked_memo.stats().hits);
   for (const auto& [kind, count] : events) {
     row->Set("churn_" + kind, count);
   }

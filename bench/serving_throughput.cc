@@ -11,7 +11,7 @@
 //
 // A final sweep serves the same stream from 1, 2, and 4 concurrent server
 // threads — each with its own facade, all sharing one thread-safe plan
-// cache + goal memo (docs/parallel_execution.md) — asserting every answer
+// cache (docs/parallel_execution.md) — asserting every answer
 // against the single-threaded baseline and reporting aggregate
 // queries/sec per server count.
 //
@@ -28,7 +28,6 @@
 #include <thread>
 #include <vector>
 
-#include "pdms/cache/goal_memo.h"
 #include "pdms/cache/plan_cache.h"
 
 #include "bench_util.h"
@@ -263,9 +262,8 @@ int main(int argc, char** argv) {
   row->Set("cold_overhead_pct", cold_overhead_pct);
   row->Set("plan_cache_inserts", cached.plan_cache()->stats().inserts);
   row->Set("plan_cache_evictions", cached.plan_cache()->stats().evictions);
-  row->Set("goal_memo_hits", cached.goal_memo()->stats().hits);
 
-  // --- Concurrent serving sweep: N server threads, one shared cache pair.
+  // --- Concurrent serving sweep: N server threads, one shared plan cache.
   size_t max_servers = EnvSize("PDMS_BENCH_MAX_SERVERS", 4);
 
   // Ground truth per pool entry, from a fresh uncached facade.
@@ -285,14 +283,13 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("\n# Concurrent serving (shared plan cache + goal memo, "
+  std::printf("\n# Concurrent serving (shared plan cache, "
               "%zu hardware threads)\n",
               (size_t)std::thread::hardware_concurrency());
   std::printf("%-10s %12s %12s %12s\n", "servers", "queries/sec", "hit rate",
               "mismatches");
   for (size_t servers = 1; servers <= max_servers; servers *= 2) {
     pdms::cache::PlanCache shared_plans;
-    pdms::cache::GoalMemo shared_memo;
     size_t per_server = requests / servers;
     std::atomic<size_t> mismatches{0};
     pdms::WallTimer wall;
@@ -304,7 +301,6 @@ int main(int argc, char** argv) {
         *server.mutable_network() = workload->network;
         *server.mutable_database() = workload->data;
         server.set_plan_cache(&shared_plans);
-        server.set_goal_memo(&shared_memo);
         pdms::Rng rng(seed * 104729 + servers * 131 + s);
         for (size_t r = 0; r < per_server; ++r) {
           size_t pick = sampler.Sample(&rng);

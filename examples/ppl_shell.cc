@@ -47,7 +47,6 @@
 #include <utility>
 #include <vector>
 
-#include "pdms/cache/goal_memo.h"
 #include "pdms/cache/plan_cache.h"
 #include "pdms/core/pdms.h"
 #include "pdms/core/reformulator.h"
@@ -71,13 +70,12 @@ std::string g_last_trace;
 // (each query entry clears it), the registry accumulates across queries.
 pdms::obs::TraceContext g_trace;
 pdms::obs::MetricsRegistry g_metrics;
-// Cross-query caches (docs/plan_cache.md), shared by the local facade and
-// every per-query SimPdms. They outlive the per-query runtime because
-// entries are keyed by the catalog's (revision, availability epoch) scope,
-// which the shell's `down`/`up` and PPL statements advance; a repeated
-// query at an unchanged catalog skips reformulation entirely.
+// The cross-query plan cache (docs/plan_cache.md), shared by the local
+// facade and every per-query SimPdms. It outlives the per-query runtime
+// because entries are keyed by the catalog's (revision, availability
+// epoch) scope, which the shell's `down`/`up` and PPL statements advance;
+// a repeated query at an unchanged catalog skips reformulation entirely.
 pdms::cache::PlanCache g_plan_cache;
-pdms::cache::GoalMemo g_goal_memo;
 // Crashed peers (killpeer/revive) are a transport-level condition, mirrored
 // into each per-query SimPdms like the partitions.
 std::set<std::string> g_crashed;
@@ -192,7 +190,6 @@ void RunQuery(const std::string& text, bool evaluate) {
   sim.set_trace(&g_trace);
   sim.set_metrics(&g_metrics);
   sim.set_plan_cache(&g_plan_cache);
-  sim.set_goal_memo(&g_goal_memo);
   sim.set_health(&g_health);
   for (const auto& [a, b] : g_partitions) sim.Partition(a, b);
   for (const std::string& p : g_crashed) sim.SetPeerCrashed(p, true);
@@ -430,9 +427,8 @@ void ShowHealth() {
     for (const std::string& p : g_crashed) std::printf(" %s", p.c_str());
     std::printf("\n");
   }
-  std::printf("plan cache: %zu invalidation(s); goal memo: %zu\n",
-              g_plan_cache.stats().invalidations,
-              g_goal_memo.stats().invalidations);
+  std::printf("plan cache: %zu invalidation(s)\n",
+              g_plan_cache.stats().invalidations);
 }
 
 // `cache stats` / `cache clear` / `cache budget <bytes>`.
@@ -442,16 +438,11 @@ void CacheCommand(const std::string& args) {
                 g_plan_cache.size(), g_plan_cache.total_bytes(),
                 g_plan_cache.budget_bytes());
     std::printf("%s", g_plan_cache.stats().ToString().c_str());
-    std::printf("goal memo (%zu entries, %zu/%zu bytes)\n",
-                g_goal_memo.size(), g_goal_memo.total_bytes(),
-                g_goal_memo.budget_bytes());
-    std::printf("%s", g_goal_memo.stats().ToString().c_str());
     return;
   }
   if (args == "clear") {
     g_plan_cache.Clear();
-    g_goal_memo.Clear();
-    std::printf("caches cleared\n");
+    std::printf("plan cache cleared\n");
     return;
   }
   if (pdms::StartsWith(args, "budget ")) {
@@ -462,8 +453,7 @@ void CacheCommand(const std::string& args) {
       return;
     }
     g_plan_cache.set_budget_bytes(bytes);
-    g_goal_memo.set_budget_bytes(bytes);
-    std::printf("plan cache and goal memo budgets set to %zu bytes\n", bytes);
+    std::printf("plan cache budget set to %zu bytes\n", bytes);
     return;
   }
   std::printf("usage: cache stats | cache clear | cache budget <bytes>\n");
@@ -584,9 +574,9 @@ void Help() {
       "                     JSON (chrome://tracing / Perfetto)\n"
       "  explain            render the last query's span tree\n"
       "  metrics            print the accumulated metrics registry\n"
-      "  cache stats        plan-cache / goal-memo hit and size counters\n"
-      "  cache clear        drop all cached plans and memoized subtrees\n"
-      "  cache budget <n>   set both cache byte budgets (evicts down)\n"
+      "  cache stats        plan-cache hit and size counters\n"
+      "  cache clear        drop all cached plans\n"
+      "  cache budget <n>   set the plan-cache byte budget (evicts down)\n"
       "  serve <port>       serve the current network/data over TCP\n"
       "                     (docs/serving.md; `serve stop` to stop)\n"
       "  connect <h:p>      route `?` queries to a ppl_serverd instance\n"
@@ -605,7 +595,6 @@ int main(int argc, char** argv) {
   g_pdms.set_trace(&g_trace);
   g_pdms.set_metrics(&g_metrics);
   g_pdms.set_plan_cache(&g_plan_cache);
-  g_pdms.set_goal_memo(&g_goal_memo);
   for (int i = 1; i < argc; ++i) LoadFile(argv[i]);
   std::printf("Piazza-style PDMS shell. Type 'help' for commands.\n");
   std::string line;

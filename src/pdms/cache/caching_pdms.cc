@@ -7,27 +7,17 @@ namespace cache {
 
 CachingPdms::CachingPdms(CacheConfig config, ReformulationOptions options)
     : pdms_(std::move(options)),
-      plan_cache_(config.plan_budget_bytes),
-      goal_memo_(config.memo_budget_bytes) {
+      plan_cache_(config.plan_budget_bytes) {
   pdms_.set_plan_cache(&plan_cache_);
-  pdms_.set_goal_memo(&goal_memo_);
   if (config.wholesale_invalidation) {
     plan_cache_.set_wholesale_invalidation(true);
-    goal_memo_.set_wholesale_invalidation(true);
   }
 }
 
-void CachingPdms::ClearCaches() {
-  plan_cache_.Clear();
-  goal_memo_.Clear();
-}
+void CachingPdms::ClearCaches() { plan_cache_.Clear(); }
 
 void CachingPdms::set_plan_budget_bytes(size_t bytes) {
   plan_cache_.set_budget_bytes(bytes);
-}
-
-void CachingPdms::set_memo_budget_bytes(size_t bytes) {
-  goal_memo_.set_budget_bytes(bytes);
 }
 
 std::string CachingPdms::CacheStatsString() const {
@@ -36,10 +26,6 @@ std::string CachingPdms::CacheStatsString() const {
                    plan_cache_.size(), plan_cache_.total_bytes(),
                    plan_cache_.budget_bytes());
   out += plan_cache_.stats().ToString();
-  out += StrFormat("goal memo (%zu entries, %zu/%zu bytes)\n",
-                   goal_memo_.size(), goal_memo_.total_bytes(),
-                   goal_memo_.budget_bytes());
-  out += goal_memo_.stats().ToString();
   return out;
 }
 

@@ -4,7 +4,6 @@
 #include <string>
 #include <string_view>
 
-#include "pdms/cache/goal_memo.h"
 #include "pdms/cache/plan_cache.h"
 #include "pdms/core/pdms.h"
 
@@ -14,27 +13,25 @@ namespace cache {
 /// Budgets and switches for a CachingPdms.
 struct CacheConfig {
   size_t plan_budget_bytes = PlanCache::kDefaultBudgetBytes;
-  size_t memo_budget_bytes = GoalMemo::kDefaultBudgetBytes;
-  /// Revert both caches to wholesale clearing on any scope movement
+  /// Revert the plan cache to wholesale clearing on any scope movement
   /// (pre-dependency-tracking behavior). The churn DST uses this as its
   /// negative control; see docs/churn_invalidation.md.
   bool wholesale_invalidation = false;
 };
 
-/// A Pdms bundled with a PlanCache and GoalMemo, pre-wired: every
+/// A Pdms bundled with a PlanCache, pre-wired: every
 /// answering entry point gets cross-query plan reuse with revision- and
 /// availability-aware invalidation, no further setup. The wrapper *is* a
 /// Pdms for all query/mutation purposes (it forwards the facade API and
 /// exposes the inner instance for anything else); it adds only cache
 /// management.
 ///
-/// Equivalent manual wiring, for callers that want to share caches across
-/// several facades (ppl_shell shares them with per-query SimPdms
+/// Equivalent manual wiring, for callers that want to share the cache
+/// across several facades (ppl_shell shares it with per-query SimPdms
 /// instances):
 ///
-///   PlanCache plans; GoalMemo memo; Pdms pdms;
+///   PlanCache plans; Pdms pdms;
 ///   pdms.set_plan_cache(&plans);
-///   pdms.set_goal_memo(&memo);
 class CachingPdms {
  public:
   explicit CachingPdms(CacheConfig config = {},
@@ -78,20 +75,17 @@ class CachingPdms {
 
   // --- Cache management ---
   PlanCache* plan_cache() { return &plan_cache_; }
-  GoalMemo* goal_memo() { return &goal_memo_; }
 
-  /// Drops all cached plans and memoized subtrees (counters survive).
+  /// Drops all cached plans (counters survive).
   void ClearCaches();
   void set_plan_budget_bytes(size_t bytes);
-  void set_memo_budget_bytes(size_t bytes);
 
-  /// Human-readable stats of both caches (ppl_shell's `cache stats`).
+  /// Human-readable plan-cache stats (ppl_shell's `cache stats`).
   std::string CacheStatsString() const;
 
  private:
   Pdms pdms_;
   PlanCache plan_cache_;
-  GoalMemo goal_memo_;
 };
 
 }  // namespace cache

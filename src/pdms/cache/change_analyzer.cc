@@ -1,6 +1,5 @@
 #include "pdms/cache/change_analyzer.h"
 
-#include <algorithm>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -54,8 +53,6 @@ ChangeAnalysis ChangeAnalyzer::Advance(const CacheScope& scope) {
   for (const CatalogChange& change : *delta) {
     analysis.affected_predicates.insert(change.predicates.begin(),
                                         change.predicates.end());
-    analysis.id_shift_from =
-        std::min(analysis.id_shift_from, change.id_shift_from);
   }
   // Caller-level restrictions (ReformulationOptions::unavailable_stored
   // beyond what the network reports, or an allowed_stored edit that left

@@ -16,18 +16,13 @@ namespace cache {
 /// What one batch of catalog changes means for a dependency-indexed cache:
 /// either "start over" (scope discontinuity — options fingerprint changed,
 /// the change log was truncated past our cursor, or the analyzer is
-/// unprimed) or a predicate set plus a description-id threshold to hand to
-/// DependencyIndex::Match.
+/// unprimed) or a predicate set to hand to DependencyIndex::Match.
 struct ChangeAnalysis {
   bool full_reset = false;
   /// Predicates whose expansion candidates or reachability (presence *or*
   /// depth — depth drives expansion ordering) changed. Includes the
   /// changes' direct predicates.
   std::set<std::string> affected_predicates;
-  /// Description ids at or after this index were renumbered; id-sensitive
-  /// entries (the goal memo embeds ids in guard sets) must drop. SIZE_MAX
-  /// = no renumbering.
-  size_t id_shift_from = SIZE_MAX;
   /// Raw change-log entries digested (0 = scope was quiescent).
   size_t changes = 0;
 };

@@ -2,7 +2,6 @@
 #define PDMS_CACHE_DEPENDENCY_INDEX_H_
 
 #include <cstddef>
-#include <map>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -16,11 +15,11 @@ namespace cache {
 /// The inverted dependency index behind fine-grained invalidation
 /// (docs/churn_invalidation.md): every cache entry registers its DepSet
 /// footprint, and a catalog change asks for exactly the keys whose
-/// footprint it touches. Two postings structures: predicate → keys for the
-/// change's predicate set, and an ordered description-id → keys map so an
-/// id renumbering ("every description at or after index i shifted")
-/// resolves with one lower_bound walk. Not thread-safe on its own — the
-/// owning cache's mutex serializes it along with the entry map.
+/// footprint it touches through one predicate → keys postings map.
+/// Description ids play no part: a cached plan embeds none, so a catalog
+/// edit that renumbers descriptions stales only the entries whose
+/// predicates it touches. Not thread-safe on its own — the owning cache's
+/// mutex serializes it along with the entry map.
 class DependencyIndex {
  public:
   /// Registers (or re-registers) `key` with its footprint. Replacing an
@@ -29,9 +28,6 @@ class DependencyIndex {
     Remove(key);
     for (const std::string& pred : deps.predicates) {
       by_pred_[pred].insert(key);
-    }
-    for (size_t id : deps.descriptions) {
-      by_desc_[id].insert(key);
     }
     footprints_[key] = deps;
   }
@@ -45,39 +41,24 @@ class DependencyIndex {
       p->second.erase(key);
       if (p->second.empty()) by_pred_.erase(p);
     }
-    for (size_t id : it->second.descriptions) {
-      auto d = by_desc_.find(id);
-      if (d == by_desc_.end()) continue;
-      d->second.erase(key);
-      if (d->second.empty()) by_desc_.erase(d);
-    }
     footprints_.erase(it);
   }
 
-  /// The keys whose footprint mentions any of `predicates`, or any
-  /// description id >= `id_shift_from` (pass SIZE_MAX to skip the id
-  /// criterion — plan rewritings embed no ids, so renumbering alone never
-  /// stales them). Sorted and deduplicated.
-  std::vector<std::string> Match(const std::set<std::string>& predicates,
-                                 size_t id_shift_from) const {
+  /// The keys whose footprint mentions any of `predicates`. Sorted and
+  /// deduplicated.
+  std::vector<std::string> Match(
+      const std::set<std::string>& predicates) const {
     std::set<std::string> keys;
     for (const std::string& pred : predicates) {
       auto it = by_pred_.find(pred);
       if (it == by_pred_.end()) continue;
       keys.insert(it->second.begin(), it->second.end());
     }
-    if (id_shift_from != SIZE_MAX) {
-      for (auto it = by_desc_.lower_bound(id_shift_from);
-           it != by_desc_.end(); ++it) {
-        keys.insert(it->second.begin(), it->second.end());
-      }
-    }
     return std::vector<std::string>(keys.begin(), keys.end());
   }
 
   void Clear() {
     by_pred_.clear();
-    by_desc_.clear();
     footprints_.clear();
   }
 
@@ -85,7 +66,6 @@ class DependencyIndex {
 
  private:
   std::unordered_map<std::string, std::set<std::string>> by_pred_;
-  std::map<size_t, std::set<std::string>> by_desc_;
   std::unordered_map<std::string, DepSet> footprints_;
 };
 

@@ -1,95 +1,14 @@
 #ifndef PDMS_CACHE_GOAL_MEMO_H_
 #define PDMS_CACHE_GOAL_MEMO_H_
 
-#include <cstddef>
-#include <cstdint>
-#include <memory>
-#include <mutex>
-#include <string>
-
-#include "pdms/cache/change_analyzer.h"
-#include "pdms/cache/dependency_index.h"
-#include "pdms/cache/lru.h"
-#include "pdms/core/rule_goal_tree.h"
-
 namespace pdms {
 namespace cache {
 
-/// Lifetime counters of a GoalMemo (same contract as PlanCacheStats:
-/// counters survive scope changes).
-struct GoalMemoStats {
-  size_t hits = 0;
-  size_t misses = 0;
-  size_t stores = 0;
-  size_t evictions = 0;
-  size_t invalidations = 0;  // entries dropped by scope changes
-
-  std::string ToString() const;
-};
-
-/// Cross-query memo of rule-goal-tree subtree expansions (docs/
-/// plan_cache.md). Where the PlanCache reuses a *whole* plan for a
-/// repeated query, the memo reuses the Step-2 expansion of one goal atom
-/// across *different* queries at the same scope: two queries touching the
-/// same region of the mapping graph expand structurally isomorphic goals,
-/// and TreeBuilder's memo key (canonical goal atom + interface binding +
-/// constraint-label context + cycle path) captures exactly the inputs the
-/// expansion depends on. The value is a variable-renamed template subtree
-/// the builder rehydrates with fresh variables.
-///
-/// Invalidation is dependency-tracked like the PlanCache's
-/// (docs/churn_invalidation.md), with one extra criterion: memo keys and
-/// stored guard paths embed description ids, so besides dropping entries
-/// whose footprint predicates a change touched, EnterScope drops every
-/// entry whose footprint mentions a description id at or after the
-/// change's renumbering threshold. A scope without a network (or
-/// `set_wholesale_invalidation(true)`) clears everything whenever
-/// (revision, epoch, fingerprint) moves.
-///
-/// Thread safety: one internal mutex, held only for map manipulation;
-/// subtrees are stored by shared_ptr so a Find result survives concurrent
-/// eviction. See the PlanCache doc for why a single lock is preferred over
-/// sharding.
-class GoalMemo : public GoalMemoHook {
- public:
-  static constexpr size_t kDefaultBudgetBytes = 32u << 20;  // 32 MiB
-
-  explicit GoalMemo(size_t budget_bytes = kDefaultBudgetBytes)
-      : entries_(budget_bytes) {}
-
-  // GoalMemoHook:
-  size_t EnterScope(const CacheScope& scope) override;
-  std::shared_ptr<const GoalSubtree> Find(const std::string& key) override;
-  void Store(const std::string& key, GoalSubtree subtree) override;
-
-  void Clear();
-  void set_budget_bytes(size_t budget_bytes);
-  size_t budget_bytes() const;
-
-  /// Disables dependency tracking (the churn tests' negative control).
-  void set_wholesale_invalidation(bool wholesale);
-
-  /// A point-in-time snapshot of the lifetime counters.
-  GoalMemoStats stats() const;
-  size_t size() const;
-  size_t total_bytes() const;
-
- private:
-  /// Clears entries + index + analyzer snapshots; returns entries dropped.
-  /// Caller holds mu_.
-  size_t ClearLocked();
-
-  mutable std::mutex mu_;
-  LruByteMap<std::shared_ptr<const GoalSubtree>> entries_;
-  DependencyIndex deps_;
-  ChangeAnalyzer analyzer_;
-  GoalMemoStats stats_;
-  bool wholesale_ = false;
-  bool has_scope_ = false;
-  uint64_t scope_revision_ = 0;
-  uint64_t scope_epoch_ = 0;
-  std::string scope_fingerprint_;
-};
+/// An empty placeholder. The cross-query goal memo is gone (the plan cache
+/// is the only cross-query cache); this name exists only because
+/// perfbench/src/sim_wan.cc still declares one, and it goes together with
+/// ReformulationOptions::threads at the next change to the benchmark.
+struct GoalMemo {};
 
 }  // namespace cache
 }  // namespace pdms

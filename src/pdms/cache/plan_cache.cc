@@ -45,10 +45,7 @@ size_t PlanCache::EnterScope(const CacheScope& scope) {
       // the next Advance sees a continuous history.
       analyzer_.Advance(scope);
     } else if (!analysis.affected_predicates.empty()) {
-      // Plans are id-insensitive: match on predicates only (SIZE_MAX
-      // disables the id-threshold criterion).
-      for (const std::string& key :
-           deps_.Match(analysis.affected_predicates, SIZE_MAX)) {
+      for (const std::string& key : deps_.Match(analysis.affected_predicates)) {
         if (entries_.Erase(key)) ++dropped;
         deps_.Remove(key);
       }
@@ -169,7 +166,6 @@ size_t PlanCache::EstimatePlanBytes(const std::string& key, const Plan& plan) {
   for (const std::string& p : plan.stats.deps.predicates) {
     bytes += 48 + p.size();
   }
-  bytes += 8 * plan.stats.deps.descriptions.size();
   return bytes;
 }
 

@@ -41,8 +41,8 @@ struct PlanCacheStats {
 /// change log through a ChangeAnalyzer and erases exactly the entries
 /// whose footprint the changes touch. Plans embed no description ids —
 /// rewritings are plain queries over stored relations — so id renumbering
-/// alone never stales an entry and the index is matched with predicates
-/// only. A scope without a network (or `set_wholesale_invalidation(true)`,
+/// alone never stales an entry: the index matches predicates only. A
+/// scope without a network (or `set_wholesale_invalidation(true)`,
 /// kept as the churn tests' negative control) falls back to clearing
 /// everything whenever (revision, epoch, fingerprint) moves, which is
 /// always sound. Insert re-checks the scope against the network's values

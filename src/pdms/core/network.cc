@@ -111,7 +111,7 @@ Status PdmsNetwork::AddPeer(Peer peer) {
   ++revision_;
   // Candidate sets are keyed off mappings and storage, so a bare peer
   // declaration invalidates nothing.
-  LogChange(CatalogChange::Kind::kPeerAdded, {}, SIZE_MAX);
+  LogChange(CatalogChange::Kind::kPeerAdded, {});
   return Status::Ok();
 }
 
@@ -170,12 +170,9 @@ Status PdmsNetwork::AddStorageDescription(StorageDescription desc) {
   std::set<std::string> preds;
   preds.insert(head.predicate());
   for (const Atom& a : desc.view.body()) preds.insert(a.predicate());
-  // Storage ids precede mapping ids, so inserting a storage description
-  // renumbers every mapping: ids >= old storage count shift.
-  const size_t shift_from = storage_.size();
   storage_.push_back(std::move(desc));
   ++revision_;
-  LogChange(CatalogChange::Kind::kStorageAdded, std::move(preds), shift_from);
+  LogChange(CatalogChange::Kind::kStorageAdded, std::move(preds));
   return Status::Ok();
 }
 
@@ -217,8 +214,7 @@ Status PdmsNetwork::AddPeerMapping(PeerMapping mapping) {
   std::set<std::string> preds = MappingTouchedPreds(mapping);
   mappings_.push_back(std::move(mapping));
   ++revision_;
-  // Appending keeps every existing description id stable.
-  LogChange(CatalogChange::Kind::kMappingAdded, std::move(preds), SIZE_MAX);
+  LogChange(CatalogChange::Kind::kMappingAdded, std::move(preds));
   return Status::Ok();
 }
 
@@ -226,13 +222,9 @@ Status PdmsNetwork::RemovePeerMapping(const std::string& name) {
   for (size_t i = 0; i < mappings_.size(); ++i) {
     if (mappings_[i].name != name) continue;
     std::set<std::string> preds = MappingTouchedPreds(mappings_[i]);
-    // Mapping ids start after the storage ids; every mapping at or after
-    // the removed slot is renumbered.
-    const size_t shift_from = storage_.size() + i;
     mappings_.erase(mappings_.begin() + static_cast<std::ptrdiff_t>(i));
     ++revision_;
-    LogChange(CatalogChange::Kind::kMappingRemoved, std::move(preds),
-              shift_from);
+    LogChange(CatalogChange::Kind::kMappingRemoved, std::move(preds));
     return Status::Ok();
   }
   return Status::NotFound("unknown peer mapping: " + name);
@@ -246,13 +238,9 @@ Status PdmsNetwork::ReplacePeerMapping(const std::string& name,
     PDMS_RETURN_IF_ERROR(ValidateMapping(next));
     std::set<std::string> preds = MappingTouchedPreds(mappings_[i]);
     for (const std::string& p : MappingTouchedPreds(next)) preds.insert(p);
-    // Same slot, but normalization may draw different fresh `_V` names for
-    // this and every later split inclusion, so ids from here on are stale.
-    const size_t shift_from = storage_.size() + i;
     mappings_[i] = std::move(next);
     ++revision_;
-    LogChange(CatalogChange::Kind::kMappingEdited, std::move(preds),
-              shift_from);
+    LogChange(CatalogChange::Kind::kMappingEdited, std::move(preds));
     return Status::Ok();
   }
   return Status::NotFound("unknown peer mapping: " + name);
@@ -313,8 +301,7 @@ Status PdmsNetwork::SetPeerAvailable(const std::string& peer,
                            : unavailable_peers_.insert(peer).second;
   if (changed) {
     ++availability_epoch_;
-    LogChange(CatalogChange::Kind::kAvailability, StoredRelationsOf(peer),
-              SIZE_MAX);
+    LogChange(CatalogChange::Kind::kAvailability, StoredRelationsOf(peer));
   }
   return Status::Ok();
 }
@@ -328,19 +315,17 @@ Status PdmsNetwork::SetStoredRelationAvailable(const std::string& name,
                            : unavailable_stored_.insert(name).second;
   if (changed) {
     ++availability_epoch_;
-    LogChange(CatalogChange::Kind::kAvailability, {name}, SIZE_MAX);
+    LogChange(CatalogChange::Kind::kAvailability, {name});
   }
   return Status::Ok();
 }
 
 void PdmsNetwork::LogChange(CatalogChange::Kind kind,
-                            std::set<std::string> predicates,
-                            size_t id_shift_from) {
+                            std::set<std::string> predicates) {
   CatalogChange change;
   change.kind = kind;
   change.seq = ++change_seq_;
   change.predicates = std::move(predicates);
-  change.id_shift_from = id_shift_from;
   change_log_.push_back(std::move(change));
   while (change_log_.size() > kMaxChangeLog) change_log_.pop_front();
 }

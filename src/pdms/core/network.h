@@ -79,13 +79,6 @@ struct CatalogChange {
   /// deep in a chain resurrecting a dead end upstream) are derived by the
   /// cache-side analyzer from a reachability diff, not recorded here.
   std::set<std::string> predicates;
-  /// Normalization assigns description ids positionally (storage
-  /// descriptions first, then mappings), so inserting or removing an
-  /// entry renumbers every description at or after this index. Cached
-  /// state that names a description id >= this threshold is stale even if
-  /// no predicate matches. SIZE_MAX = no ids shifted (pure append /
-  /// availability flip).
-  size_t id_shift_from = SIZE_MAX;
 };
 
 const char* CatalogChangeKindName(CatalogChange::Kind kind);
@@ -220,8 +213,7 @@ class PdmsNetwork {
   Status ValidateBody(const ConjunctiveQuery& cq,
                       const std::string& context) const;
   Status ValidateMapping(const PeerMapping& mapping) const;
-  void LogChange(CatalogChange::Kind kind, std::set<std::string> predicates,
-                 size_t id_shift_from);
+  void LogChange(CatalogChange::Kind kind, std::set<std::string> predicates);
   /// Stored relations served by `peer` (availability-flip footprint).
   std::set<std::string> StoredRelationsOf(const std::string& peer) const;
 

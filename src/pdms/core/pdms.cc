@@ -80,7 +80,7 @@ Reformulator* Pdms::GetReformulator() {
 
 QueryPipeline Pdms::Pipeline() {
   return QueryPipeline(network_, options_,
-                       {trace_, metrics_, plan_cache_, goal_memo_});
+                       {trace_, metrics_, plan_cache_});
 }
 
 Result<QueryPlan> Pdms::PlanQuery(const ConjunctiveQuery& query) {

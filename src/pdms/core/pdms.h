@@ -162,17 +162,15 @@ class Pdms {
 
   // --- Cross-query caching (docs/plan_cache.md) ---
 
-  /// Attaches a plan cache / goal memo (borrowed, nullable — null
-  /// disables). Both are consulted by every answering entry point under
-  /// the current (revision, availability epoch) scope; with a metrics
-  /// registry attached the facade accumulates the `cache.*` counters and
-  /// with a trace attached each query gets a `cache_lookup` span plus a
-  /// `cache` attribute on its query span. `cache::CachingPdms` bundles a
-  /// Pdms with both caches pre-wired.
+  /// Attaches a plan cache (borrowed, nullable — null disables). It is
+  /// consulted by every answering entry point under the current
+  /// (revision, availability epoch) scope; with a metrics registry
+  /// attached the facade accumulates the `cache.*` counters and with a
+  /// trace attached each query gets a `cache_lookup` span plus a `cache`
+  /// attribute on its query span. `cache::CachingPdms` bundles a Pdms with
+  /// the cache pre-wired.
   void set_plan_cache(PlanCacheHook* cache) { plan_cache_ = cache; }
   PlanCacheHook* plan_cache() const { return plan_cache_; }
-  void set_goal_memo(GoalMemoHook* memo) { goal_memo_ = memo; }
-  GoalMemoHook* goal_memo() const { return goal_memo_; }
 
   /// Parses a query in rule syntax, e.g. `q(x) :- H:Doctor(x, h).`.
   Result<ConjunctiveQuery> ParseQuery(std::string_view text) const;
@@ -251,7 +249,6 @@ class Pdms {
   obs::TraceContext* trace_ = nullptr;      // not owned; may be null
   obs::MetricsRegistry* metrics_ = nullptr;  // not owned; may be null
   PlanCacheHook* plan_cache_ = nullptr;      // not owned; may be null
-  GoalMemoHook* goal_memo_ = nullptr;        // not owned; may be null
 };
 
 }  // namespace pdms

@@ -83,14 +83,13 @@ QueryPipeline::QueryPipeline(const PdmsNetwork& network,
   options_.unavailable_stored.insert(down.begin(), down.end());
   options_.trace = hooks_.trace;
   options_.metrics = hooks_.metrics;
-  options_.goal_memo = hooks_.goal_memo;
 }
 
 std::shared_ptr<const PlanCacheHook::Plan> QueryPipeline::Lookup(
     const ConjunctiveQuery& query, obs::ScopedSpan* query_span) {
   PlanCacheHook* cache = hooks_.plan_cache;
   obs::MetricsRegistry* metrics = hooks_.metrics;
-  if (cache == nullptr && hooks_.goal_memo == nullptr) return nullptr;
+  if (cache == nullptr) return nullptr;
   CacheScope scope;
   scope.network = &network_;
   scope.revision = network_.revision();
@@ -98,13 +97,6 @@ std::shared_ptr<const PlanCacheHook::Plan> QueryPipeline::Lookup(
   scope.unavailable_stored = options_.unavailable_stored;
   scope.allowed_stored = options_.allowed_stored;
   scope.options_fingerprint = OptionsFingerprint(options_);
-  if (hooks_.goal_memo != nullptr) {
-    size_t dropped = hooks_.goal_memo->EnterScope(scope);
-    if (dropped > 0 && metrics != nullptr) {
-      metrics->Add("cache.goal_memo_invalidations", dropped);
-    }
-  }
-  if (cache == nullptr) return nullptr;
   size_t invalidated = cache->EnterScope(scope);
   if (invalidated > 0 && metrics != nullptr) {
     metrics->Add("cache.invalidations", invalidated);

@@ -62,24 +62,23 @@ class QueryPipeline {
     obs::TraceContext* trace = nullptr;
     obs::MetricsRegistry* metrics = nullptr;
     PlanCacheHook* plan_cache = nullptr;
-    GoalMemoHook* goal_memo = nullptr;
   };
 
   /// `base` is the caller's options for this query (its cost estimator
   /// included); the pipeline adds the network's unavailable stored
-  /// relations and the trace, metrics and goal-memo hooks.
+  /// relations and the trace and metrics hooks.
   QueryPipeline(const PdmsNetwork& network, ReformulationOptions base,
                 Hooks hooks);
 
   /// The effective reformulation options of this query.
   const ReformulationOptions& options() const { return options_; }
 
-  /// Announces the query's CacheScope to the attached caches (counting
-  /// invalidations) and looks the query up in the plan cache under a
-  /// `cache_lookup` span, counting `cache.hits` / `cache.misses` and
-  /// tagging `query_span` (nullable) with the outcome. Null on a miss or
-  /// with no plan cache; with no cache at all it builds no scope and
-  /// computes no key. Call at most once per pipeline.
+  /// Announces the query's CacheScope to the plan cache (counting
+  /// invalidations) and looks the query up under a `cache_lookup` span,
+  /// counting `cache.hits` / `cache.misses` and tagging `query_span`
+  /// (nullable) with the outcome. Null on a miss or with no plan cache;
+  /// with no cache it builds no scope and computes no key. Call at most
+  /// once per pipeline.
   std::shared_ptr<const PlanCacheHook::Plan> Lookup(
       const ConjunctiveQuery& query, obs::ScopedSpan* query_span);
 

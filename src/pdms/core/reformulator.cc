@@ -59,10 +59,6 @@ void RecordReformulationMetrics(const ReformulationStats& stats,
   metrics->Add("reform.combos_failed", stats.combos_failed);
   metrics->Add("reform.rewritings", stats.rewritings);
   metrics->Add("reform.duplicate_disjuncts", stats.duplicate_disjuncts);
-  if (stats.goal_memo_hits > 0) {
-    metrics->Add("cache.goal_memo_hits", stats.goal_memo_hits);
-    metrics->Add("cache.goal_memo_nodes", stats.goal_memo_nodes);
-  }
   if (stats.tree_truncated) metrics->Add("reform.tree_truncated");
   if (stats.enumeration_truncated) {
     metrics->Add("reform.enumeration_truncated");

@@ -1,13 +1,10 @@
 #include "pdms/core/rule_goal_tree.h"
 
 #include <algorithm>
-#include <optional>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
 #include "pdms/core/cost_estimator.h"
-#include "pdms/lang/canonical.h"
 #include "pdms/minicon/mcd.h"
 #include "pdms/util/strings.h"
 
@@ -30,10 +27,6 @@ std::string ReformulationStats::ToString() const {
   if (duplicate_disjuncts > 0) {
     out += StrFormat("duplicate disjuncts dropped: %zu\n",
                      duplicate_disjuncts);
-  }
-  if (goal_memo_hits > 0) {
-    out += StrFormat("goal memo: %zu hit(s), %zu node(s) rehydrated\n",
-                     goal_memo_hits, goal_memo_nodes);
   }
   out += StrFormat("rewritings: %zu%s%s\n", rewritings,
                    tree_truncated ? " (tree truncated)" : "",
@@ -94,119 +87,6 @@ std::unordered_set<std::string> AtomVars(const Atom& atom) {
   std::vector<std::string> vars;
   CollectVariables(atom, &vars);
   return std::unordered_set<std::string>(vars.begin(), vars.end());
-}
-
-// --- Goal-memo clone machinery ---
-//
-// A stored subtree is rehydrated by a simultaneous variable rename: the
-// template goal's label/interface variables map positionally onto the new
-// goal's, and every other variable maps to a variable fresh in the current
-// build. The rename is injective, so substitution chains and repetition
-// patterns survive exactly.
-
-using VarRename = std::unordered_map<std::string, std::string>;
-
-Term RenameTermVia(const Term& t, const VarRename& m) {
-  if (!t.is_variable()) return t;
-  auto it = m.find(t.var_name());
-  return it == m.end() ? t : Term::Var(it->second);
-}
-
-Atom RenameAtomVia(const Atom& a, const VarRename& m) {
-  std::vector<Term> args;
-  args.reserve(a.args().size());
-  for (const Term& t : a.args()) args.push_back(RenameTermVia(t, m));
-  return Atom(a.predicate(), std::move(args));
-}
-
-ConstraintSet RenameConstraintsVia(const ConstraintSet& set,
-                                   const VarRename& m) {
-  ConstraintSet out;
-  for (const Comparison& c : set.comparisons()) {
-    out.Add(Comparison{RenameTermVia(c.lhs, m), c.op,
-                       RenameTermVia(c.rhs, m)});
-  }
-  return out;
-}
-
-std::unique_ptr<GoalNode> CloneGoalVia(const GoalNode& g, const VarRename& m);
-
-std::unique_ptr<ExpansionNode> CloneExpansionVia(const ExpansionNode& e,
-                                                 const VarRename& m) {
-  auto out = std::make_unique<ExpansionNode>();
-  out->kind = e.kind;
-  out->description_id = e.description_id;
-  out->unifier = e.unifier.RenameVariables(m);
-  out->required_constraints = RenameConstraintsVia(e.required_constraints, m);
-  out->granted_constraints = RenameConstraintsVia(e.granted_constraints, m);
-  out->label = RenameConstraintsVia(e.label, m);
-  out->unc = e.unc;
-  out->viable = e.viable;
-  out->children.reserve(e.children.size());
-  for (const auto& child : e.children) {
-    out->children.push_back(CloneGoalVia(*child, m));
-  }
-  return out;
-}
-
-std::unique_ptr<GoalNode> CloneGoalVia(const GoalNode& g, const VarRename& m) {
-  auto out = std::make_unique<GoalNode>();
-  out->label = RenameAtomVia(g.label, m);
-  out->constraints = RenameConstraintsVia(g.constraints, m);
-  out->is_stored = g.is_stored;
-  out->viable = g.viable;
-  out->index_in_scope = g.index_in_scope;
-  out->expansions.reserve(g.expansions.size());
-  for (const auto& exp : g.expansions) {
-    out->expansions.push_back(CloneExpansionVia(*exp, m));
-  }
-  return out;
-}
-
-void CollectConstraintVars(const ConstraintSet& set,
-                           std::vector<std::string>* out) {
-  for (const Comparison& c : set.comparisons()) CollectVariables(c, out);
-}
-
-void CollectGoalVars(const GoalNode& g, std::vector<std::string>* out);
-
-void CollectExpansionVars(const ExpansionNode& e,
-                          std::vector<std::string>* out) {
-  for (const auto& [var, target] : e.unifier.bindings()) {
-    out->push_back(var);
-    if (target.is_variable()) out->push_back(target.var_name());
-  }
-  CollectConstraintVars(e.required_constraints, out);
-  CollectConstraintVars(e.granted_constraints, out);
-  CollectConstraintVars(e.label, out);
-  for (const auto& child : e.children) CollectGoalVars(*child, out);
-}
-
-void CollectGoalVars(const GoalNode& g, std::vector<std::string>* out) {
-  CollectVariables(g.label, out);
-  CollectConstraintVars(g.constraints, out);
-  for (const auto& exp : g.expansions) CollectExpansionVars(*exp, out);
-}
-
-// Node counts and a rough heap footprint for the memo's byte budget.
-void CountSubtree(const ExpansionNode& e, GoalSubtree* t) {
-  ++t->rule_nodes;
-  if (e.kind == ExpansionNode::Kind::kDefinitional) {
-    ++t->definitional_nodes;
-  } else {
-    ++t->inclusion_nodes;
-  }
-  t->byte_estimate += sizeof(ExpansionNode) +
-                      48 * e.unifier.bindings().size() +
-                      48 * e.required_constraints.comparisons().size() +
-                      48 * e.granted_constraints.comparisons().size() +
-                      48 * e.label.comparisons().size();
-  for (const auto& child : e.children) {
-    ++t->goal_nodes;
-    t->byte_estimate += sizeof(GoalNode) + 32 * child->label.arity() +
-                        48 * child->constraints.comparisons().size();
-    for (const auto& exp : child->expansions) CountSubtree(*exp, t);
-  }
 }
 
 }  // namespace
@@ -281,7 +161,6 @@ Result<RuleGoalTree> TreeBuilder::Build(const ConjunctiveQuery& query) {
   path_.clear();
   ReformulationStats& stats = tree.stats;
   stats_ = &stats;
-  deps_ = &stats.deps;
   stats.rule_nodes = 1;
   stats.definitional_nodes = 1;
   stats.excluded_stored =
@@ -350,7 +229,7 @@ void TreeBuilder::ExpandGoal(const ScopeContext& ctx, GoalNode* goal) {
   // Every goal predicate the build touches — stored leaves included — is
   // part of the footprint: an availability flip or mapping change naming
   // it must invalidate whatever was built here.
-  deps_->predicates.insert(pred);
+  stats_->deps.predicates.insert(pred);
   if (goal->is_stored) return;
   // One span per goal-node expansion; the per-candidate spans below nest
   // under it, so the explain tree mirrors the rule-goal tree. Prune-reason
@@ -378,45 +257,6 @@ void TreeBuilder::ExpandGoal(const ScopeContext& ctx, GoalNode* goal) {
     return;
   }
 
-  // Cross-query goal memo: single-child scopes only (MCDs in wider scopes
-  // may cover siblings, which a stored subtree cannot represent
-  // positionally). A hit replays the previously-built expansions under a
-  // fresh renaming; a completed miss is stored for later queries in the
-  // same (revision, epoch, options) scope.
-  const bool memoable =
-      options_.goal_memo != nullptr && ctx.scope->children.size() == 1;
-  std::string memo_key;
-  if (memoable) {
-    memo_key = GoalMemoKey(*goal, ctx, path_);
-    if (std::shared_ptr<const GoalSubtree> t =
-            options_.goal_memo->Find(memo_key)) {
-      if (RehydrateGoalSubtree(*t, ctx, goal)) {
-        goal_span.Set("memo", "hit");
-        return;
-      }
-    }
-  }
-
-  // While a memoable goal expands, capture its footprint in a local set so
-  // it can be stored with the memo entry; merged into the parent recorder
-  // on every exit (including budget aborts, whose consultations still
-  // belong in the parent's footprint).
-  DepSet memo_deps;
-  struct DepCapture {
-    DepSet** recorder;
-    DepSet* parent;
-    ~DepCapture() {
-      parent->MergeFrom(**recorder);
-      *recorder = parent;
-    }
-  };
-  std::optional<DepCapture> capture;
-  if (memoable) {
-    memo_deps.predicates.insert(pred);
-    capture.emplace(&deps_, deps_);
-    deps_ = &memo_deps;
-  }
-
   auto rit = rules_.rules_by_head.find(pred);
   auto vit = rules_.views_by_body_pred.find(pred);
   const bool has_rules = rit != rules_.rules_by_head.end();
@@ -441,7 +281,7 @@ void TreeBuilder::ExpandGoal(const ScopeContext& ctx, GoalNode* goal) {
 
   // One depth-first sweep over the candidates, definitional rules first.
   // A false return means the node budget fired; the goal is abandoned
-  // mid-sweep (and not memoized).
+  // mid-sweep.
   if (has_rules) {
     for (size_t idx : rit->second) {
       if (!TryDefinitionalCandidate(goal, rules_.rules[idx])) return;
@@ -455,22 +295,12 @@ void TreeBuilder::ExpandGoal(const ScopeContext& ctx, GoalNode* goal) {
       }
     }
   }
-
-  // Store only complete subtrees: every node-budget exit above returns
-  // without reaching this point, and a build that truncated elsewhere is
-  // not trusted either. (An untruncated subtree is budget-independent, so
-  // it stays valid under any later max_tree_nodes.)
-  if (memoable && !truncated_) {
-    StoreGoalSubtree(memo_key, ctx, *goal, memo_deps);
-  }
 }
 
 bool TreeBuilder::TryDefinitionalCandidate(GoalNode* goal,
                                            const ExpansionRules::DefRule& dr) {
   obs::ScopedSpan rule_span(options_.trace, "definitional");
   rule_span.Set("desc", static_cast<uint64_t>(dr.description_id));
-  // Consulted — whatever happens next — so it is part of the footprint.
-  deps_->descriptions.insert(dr.description_id);
   if (!dr.guard_exempt && path_.count(dr.description_id) > 0) {
     ++stats_->pruned_guard;
     rule_span.Set("pruned", "reuse_guard");
@@ -491,7 +321,7 @@ bool TreeBuilder::TryDefinitionalCandidate(GoalNode* goal,
   // candidate is pruned, so they enter the footprint here rather than via
   // the child-goal recursion.
   for (const Atom& b : renamed.body()) {
-    deps_->predicates.insert(b.predicate());
+    stats_->deps.predicates.insert(b.predicate());
   }
 
   auto exp = std::make_unique<ExpansionNode>();
@@ -560,11 +390,10 @@ bool TreeBuilder::TryInclusionCandidate(const ScopeContext& ctx,
                                         const Atom& iface) {
   obs::ScopedSpan view_span(options_.trace, "inclusion");
   view_span.Set("desc", static_cast<uint64_t>(vw.description_id));
-  deps_->descriptions.insert(vw.description_id);
   // The view head (a stored relation or `_V` predicate) gates this
   // candidate's reachability check, so it belongs in the footprint even if
   // the candidate is pruned before producing a child goal.
-  deps_->predicates.insert(vw.view.head().predicate());
+  stats_->deps.predicates.insert(vw.view.head().predicate());
   if (path_.count(vw.description_id) > 0) {
     ++stats_->pruned_guard;
     view_span.Set("pruned", "reuse_guard");
@@ -637,116 +466,6 @@ bool TreeBuilder::TryInclusionCandidate(const ScopeContext& ctx,
     goal->expansions.push_back(std::move(exp));
   }
   return true;
-}
-
-std::string TreeBuilder::GoalMemoKey(const GoalNode& goal,
-                                     const ScopeContext& ctx,
-                                     const std::set<size_t>& path) const {
-  // Canonical numbering: goal-label variables are #0, #1, ... in
-  // first-appearance order (matching CanonicalAtomKey); variables foreign
-  // to the goal label — interface distinguished variables and ancestor
-  // variables surviving in the constraint label — are ~0, ~1, ... in
-  // first-appearance order across the interface-then-label rendering.
-  std::unordered_map<std::string, std::string> names;
-  size_t numbered = 0;
-  for (const Term& t : goal.label.args()) {
-    if (t.is_variable() &&
-        names.emplace(t.var_name(), "#" + std::to_string(numbered)).second) {
-      ++numbered;
-    }
-  }
-  size_t foreign = 0;
-  auto render = [&](const Term& t) -> std::string {
-    if (!t.is_variable()) return t.ToString();
-    auto [it, inserted] =
-        names.emplace(t.var_name(), "~" + std::to_string(foreign));
-    if (inserted) ++foreign;
-    return it->second;
-  };
-  std::string key = CanonicalAtomKey(goal.label);
-  key += "|i:";
-  for (const Term& t : ctx.interface.args()) {
-    key += render(t);
-    key += ',';
-  }
-  key += "|c:";
-  for (const Comparison& c : ctx.scope->label.comparisons()) {
-    key += render(c.lhs);
-    key += CmpOpName(c.op);
-    key += render(c.rhs);
-    key += ';';
-  }
-  key += "|p:";
-  for (size_t id : path) {
-    key += std::to_string(id);
-    key += ',';
-  }
-  return key;
-}
-
-bool TreeBuilder::RehydrateGoalSubtree(const GoalSubtree& subtree,
-                                       const ScopeContext& ctx,
-                                       GoalNode* goal) {
-  size_t total = subtree.goal_nodes + subtree.rule_nodes;
-  if (node_count_ + total > options_.max_tree_nodes) {
-    // Rebuilding fresh truncates exactly where a memo-less build would.
-    return false;
-  }
-  VarRename rename;
-  // Positional maps; the memo key guarantees the patterns coincide
-  // (variable positions, repetitions, and constants all match).
-  for (size_t i = 0; i < subtree.label_args.size(); ++i) {
-    const Term& from = subtree.label_args[i];
-    const Term& to = goal->label.args()[i];
-    if (from.is_variable()) rename[from.var_name()] = to.var_name();
-  }
-  for (size_t i = 0; i < subtree.iface_args.size(); ++i) {
-    const Term& from = subtree.iface_args[i];
-    const Term& to = ctx.interface.args()[i];
-    if (from.is_variable()) rename[from.var_name()] = to.var_name();
-  }
-  // Every other subtree variable becomes fresh in this build, so clones
-  // can never capture unrelated variables elsewhere in the tree.
-  std::vector<std::string> vars;
-  for (const auto& exp : subtree.expansions) CollectExpansionVars(*exp, &vars);
-  for (const std::string& v : vars) {
-    if (rename.find(v) == rename.end()) rename[v] = fresh_.FreshName();
-  }
-  goal->expansions.reserve(subtree.expansions.size());
-  for (const auto& exp : subtree.expansions) {
-    goal->expansions.push_back(CloneExpansionVia(*exp, rename));
-  }
-  node_count_ += total;
-  stats_->goal_nodes += subtree.goal_nodes;
-  stats_->rule_nodes += subtree.rule_nodes;
-  stats_->definitional_nodes += subtree.definitional_nodes;
-  stats_->inclusion_nodes += subtree.inclusion_nodes;
-  ++stats_->goal_memo_hits;
-  stats_->goal_memo_nodes += total;
-  // A rehydrated subtree depends on everything its template build
-  // consulted — including candidates that were pruned and so left no
-  // structural mark in the cloned expansions.
-  deps_->MergeFrom(subtree.deps);
-  return true;
-}
-
-void TreeBuilder::StoreGoalSubtree(const std::string& key,
-                                   const ScopeContext& ctx,
-                                   const GoalNode& goal, const DepSet& deps) {
-  GoalSubtree t;
-  t.label_args = goal.label.args();
-  t.iface_args = ctx.interface.args();
-  t.expansions.reserve(goal.expansions.size());
-  for (const auto& exp : goal.expansions) {
-    t.expansions.push_back(CloneExpansionVia(*exp, VarRename{}));
-    CountSubtree(*exp, &t);
-  }
-  t.deps = deps;
-  for (const std::string& p : deps.predicates) {
-    t.byte_estimate += p.size() + 48;
-  }
-  t.byte_estimate += 8 * deps.descriptions.size();
-  options_.goal_memo->Store(key, std::move(t));
 }
 
 void TreeBuilder::MarkViability(ExpansionNode* scope) {

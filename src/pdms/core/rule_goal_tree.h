@@ -17,7 +17,6 @@
 namespace pdms {
 
 class CostEstimator;
-class GoalMemoHook;
 
 /// Tunables for tree construction and solution enumeration. The paper's
 /// Section 4.3 optimizations each map to a flag so the ablation benchmarks
@@ -61,13 +60,6 @@ struct ReformulationOptions {
   /// (0 = unlimited).
   double time_budget_ms = 0;
 
-  /// Cross-query goal memo (docs/plan_cache.md). Borrowed, nullable — null
-  /// disables. Never part of the reformulation semantics: a memo hit
-  /// rehydrates exactly the subtree a fresh expansion would have built
-  /// (asserted by tests/goal_memo_test.cc and the coherence property
-  /// test), it only skips re-deriving it.
-  GoalMemoHook* goal_memo = nullptr;
-
   /// Observability (docs/observability.md). Borrowed, nullable — null is
   /// the zero-overhead sink — and never part of the reformulation
   /// semantics. When `trace` is set the builder emits one span per goal
@@ -91,41 +83,30 @@ struct ReformulationOptions {
   /// first. Distributed runtimes (SimPdms) additionally use the flag for
   /// cheapest-provider selection and relay-batched fan-out. Routing only —
   /// never changes the answer set — but it IS part of OptionsFingerprint
-  /// (appended as "|c1" when set) because it reorders children, and memoized
-  /// subtrees record child order.
+  /// (appended as "|c1" when set) because it reorders children, and cached
+  /// plans record disjunct order.
   bool cost_aware = false;
   /// Borrowed, nullable — null leaves ordering purely depth-based even
   /// when `cost_aware` is set.
   const CostEstimator* cost_estimator = nullptr;
 };
 
-/// The dependency footprint of one reformulation (or one memoized goal
-/// subtree): every predicate whose expansion candidates were consulted
-/// while building the tree — including candidates that were pruned, since
-/// consulting them shaped the result — and every description id that was
-/// examined. Caches store the footprint with each entry so a catalog
-/// change invalidates only the entries it can actually affect
+/// The dependency footprint of one reformulation: every predicate whose
+/// expansion candidates were consulted while building the tree — including
+/// candidates that were pruned, since consulting them shaped the result.
+/// The plan cache stores the footprint with each entry so a catalog change
+/// invalidates only the entries it can actually affect
 /// (docs/churn_invalidation.md).
 struct DepSet {
   /// Peer relations, stored relations, and normalization-introduced view
   /// predicates the build consulted.
   std::set<std::string> predicates;
-  /// Description ids (storage + mapping, positional) of every candidate
-  /// examined. Id-sensitive caches (the goal memo embeds ids in guard
-  /// paths) drop entries whose ids were renumbered by a catalog edit.
-  std::set<size_t> descriptions;
-
-  void MergeFrom(const DepSet& other) {
-    predicates.insert(other.predicates.begin(), other.predicates.end());
-    descriptions.insert(other.descriptions.begin(), other.descriptions.end());
-  }
-  bool empty() const { return predicates.empty() && descriptions.empty(); }
 };
 
 /// Everything a cache needs to know about "now": identity of the catalog,
 /// its counters, and the per-query source restrictions. The facade (and
-/// SimPdms) builds one before each query and announces it to both cache
-/// hooks, which consult the network's change log to invalidate exactly the
+/// SimPdms) builds one before each query and announces it to the plan
+/// cache, which consults the network's change log to invalidate exactly the
 /// affected entries instead of clearing wholesale.
 struct CacheScope {
   /// Borrowed for the duration of the EnterScope call; null disables
@@ -136,7 +117,7 @@ struct CacheScope {
   uint64_t epoch = 0;
   /// Stored relations unusable for this query (network availability plus
   /// any caller-specified exclusions) and the caller's source allow-list;
-  /// the analyzers need both to recompute reachability.
+  /// the analyzer needs both to recompute reachability.
   std::set<std::string> unavailable_stored;
   std::set<std::string> allowed_stored;
   /// Structural options fingerprint (OptionsFingerprint); a change is a
@@ -165,12 +146,6 @@ struct ReformulationStats {
   /// Syntactically-isomorphic rewritings (equal CanonicalQueryKey) the
   /// enumerator dropped so the evaluator never runs a duplicate disjunct.
   size_t duplicate_disjuncts = 0;
-  /// Cross-query goal memo (when ReformulationOptions::goal_memo is set):
-  /// goals whose expansions were rehydrated from a previous query, and the
-  /// total nodes that rehydration contributed (also included in the node
-  /// counts above).
-  size_t goal_memo_hits = 0;
-  size_t goal_memo_nodes = 0;
   /// The build's dependency footprint (filled by the TreeBuilder).
   DepSet deps;
   bool tree_truncated = false;  // node budget hit
@@ -186,56 +161,6 @@ struct ReformulationStats {
 };
 
 struct GoalNode;
-struct ExpansionNode;
-
-/// A detached, owned copy of one goal node's expansions — the unit the
-/// cross-query goal memo (src/pdms/cache/goal_memo.h) stores between
-/// queries. `label_args` remembers the template goal's argument terms so a
-/// later query can rename the subtree onto its own goal atom (the two
-/// atoms share a CanonicalAtomKey, so the argument patterns line up
-/// positionally).
-struct GoalSubtree {
-  std::vector<Term> label_args;
-  /// The template scope's interface arguments: MCD unifiers inside the
-  /// subtree may bind view variables to the scope's distinguished
-  /// variables, so rehydration maps these positionally onto the new
-  /// scope's interface (the memo key proves the patterns coincide).
-  std::vector<Term> iface_args;
-  std::vector<std::unique_ptr<ExpansionNode>> expansions;
-  // Node counts inside the subtree, charged against the tree budget and
-  // the stats when the subtree is rehydrated.
-  size_t goal_nodes = 0;
-  size_t rule_nodes = 0;
-  size_t definitional_nodes = 0;
-  size_t inclusion_nodes = 0;
-  /// Rough heap footprint, for the memo's byte budget.
-  size_t byte_estimate = 0;
-  /// Footprint of the stored expansion, including pruned candidates that a
-  /// structural walk of `expansions` would miss; rehydration merges it
-  /// into the consuming build's footprint.
-  DepSet deps;
-};
-
-/// Cross-query memoization hook consulted by the TreeBuilder (implemented
-/// in src/pdms/cache/goal_memo.h; core only sees the interface). The
-/// facade announces the current CacheScope before each build; the
-/// implementation digests the network's change log and invalidates the
-/// entries whose dependency footprint the changes touch, so a stored
-/// subtree can never leak across a mapping edit or availability flip —
-/// while unrelated entries survive the churn.
-class GoalMemoHook {
- public:
-  virtual ~GoalMemoHook() = default;
-  /// Declares the scope of the next Find/Store calls; returns the number
-  /// of entries invalidated by the scope change.
-  virtual size_t EnterScope(const CacheScope& scope) = 0;
-  /// The stored subtree for `key`, or null. Shared ownership: builders on
-  /// different threads (serving facades sharing one memo) may hold a
-  /// subtree while a concurrent store evicts its entry, so a raw "valid
-  /// until the next call" pointer would be unsound.
-  virtual std::shared_ptr<const GoalSubtree> Find(const std::string& key) = 0;
-  virtual void Store(const std::string& key, GoalSubtree subtree) = 0;
-};
 
 /// A fingerprint of the option fields that shape the rule-goal tree (prune
 /// flags, expansion ordering, the source allow-list). Part of the cache
@@ -355,23 +280,6 @@ class TreeBuilder {
   // True if `predicate` is a stored relation the caller allows rewritings
   // to use (honors ReformulationOptions::allowed_stored).
   bool IsUsableStored(const std::string& predicate) const;
-  // Cross-query goal memo (options_.goal_memo). Memoization is restricted
-  // to single-child scopes: an MCD may cover sibling goals, so a subtree
-  // is positionally reusable only when the scope has no siblings. The key
-  // captures everything expansion depends on besides the normalization —
-  // the goal's atom pattern, the scope interface, the scope's constraint
-  // label (unsatisfiability pruning consults it), and the path's
-  // description-reuse guard set.
-  std::string GoalMemoKey(const GoalNode& goal, const ScopeContext& ctx,
-                          const std::set<size_t>& path) const;
-  // Clones the stored subtree onto `goal`, mapping template label/interface
-  // variables positionally and every other variable to a fresh one; false
-  // if the node budget cannot absorb the subtree (the caller then expands
-  // normally, truncating exactly as a memo-less build would).
-  bool RehydrateGoalSubtree(const GoalSubtree& subtree,
-                            const ScopeContext& ctx, GoalNode* goal);
-  void StoreGoalSubtree(const std::string& key, const ScopeContext& ctx,
-                        const GoalNode& goal, const DepSet& deps);
   void MarkViability(ExpansionNode* scope);
 
   const ExpansionRules& rules_;
@@ -382,11 +290,7 @@ class TreeBuilder {
   size_t node_count_ = 0;
   bool truncated_ = false;
   std::set<size_t> path_;  // description-reuse guard along the current path
-  ReformulationStats* stats_ = nullptr;
-  // Dependency recorder. Usually &stats_->deps, but while a memoable goal
-  // expands it points at a local set so the subtree's footprint can be
-  // captured for the memo entry (then merged into the enclosing recorder).
-  DepSet* deps_ = nullptr;
+  ReformulationStats* stats_ = nullptr;  // also the footprint recorder
 };
 
 }  // namespace pdms

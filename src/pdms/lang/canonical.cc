@@ -8,25 +8,6 @@
 
 namespace pdms {
 
-std::string CanonicalAtomKey(const Atom& atom) {
-  std::string out = atom.predicate();
-  out += "(";
-  std::unordered_map<std::string, size_t> seen;
-  for (size_t i = 0; i < atom.arity(); ++i) {
-    if (i > 0) out += ",";
-    const Term& t = atom.args()[i];
-    if (t.is_constant()) {
-      out += t.value().ToString();
-    } else {
-      auto [it, inserted] = seen.emplace(t.var_name(), seen.size());
-      out += "#";
-      out += std::to_string(it->second);
-    }
-  }
-  out += ")";
-  return out;
-}
-
 namespace {
 
 // Simultaneous (non-chaining) variable renaming. A Substitution must NOT

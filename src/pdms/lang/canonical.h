@@ -7,13 +7,6 @@
 
 namespace pdms {
 
-/// A pattern key for an atom that abstracts variable *names* but preserves
-/// the repetition pattern and constants: p(x, y, x, 3) and p(a, b, a, 3)
-/// both map to "p(#0,#1,#0,3)". Used to memoize rule-goal-tree expansions
-/// (Section 4.3 "memoization of nodes"): two goal nodes with the same key
-/// expand identically.
-std::string CanonicalAtomKey(const Atom& atom);
-
 /// Renames the variables of `cq` to v0, v1, ... in first-appearance order
 /// (head first). Two syntactically-isomorphic queries canonicalize to equal
 /// structures.

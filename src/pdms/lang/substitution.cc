@@ -151,20 +151,4 @@ Atom RenameApart(const Atom& atom, VariableFactory* factory) {
   return RenameAtom(atom, rename);
 }
 
-Substitution Substitution::RenameVariables(
-    const std::unordered_map<std::string, std::string>& rename) const {
-  auto renamed_name = [&rename](const std::string& name) {
-    auto it = rename.find(name);
-    return it == rename.end() ? name : it->second;
-  };
-  Substitution out;
-  for (const auto& [var, target] : map_) {
-    Term mapped = target.is_variable()
-                      ? Term::Var(renamed_name(target.var_name()))
-                      : target;
-    out.map_.emplace(renamed_name(var), std::move(mapped));
-  }
-  return out;
-}
-
 }  // namespace pdms

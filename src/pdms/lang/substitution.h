@@ -55,14 +55,6 @@ class Substitution {
     return map_;
   }
 
-  /// The substitution with every variable name — binding sources and
-  /// variable targets alike — replaced per `rename`; names absent from the
-  /// map are kept. `rename` must be injective over the mentioned names so
-  /// binding chains are preserved exactly (the cross-query goal memo
-  /// rehydrates stored unifiers onto fresh variables this way).
-  Substitution RenameVariables(
-      const std::unordered_map<std::string, std::string>& rename) const;
-
   /// `{x -> 3, y -> z}`, sorted by variable name.
   std::string ToString() const;
 

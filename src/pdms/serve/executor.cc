@@ -96,7 +96,6 @@ Status RequestExecutor::Start(const PdmsNetwork& network, const Database& data,
     *facade->mutable_network() = network;
     *facade->mutable_database() = data;
     facade->set_plan_cache(&plan_cache_);
-    facade->set_goal_memo(&goal_memo_);
     facade->set_metrics(metrics_);
     free_facades_.push_back(facade.get());
     facades_.push_back(std::move(facade));

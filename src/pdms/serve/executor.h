@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "pdms/cache/goal_memo.h"
 #include "pdms/cache/plan_cache.h"
 #include "pdms/core/pdms.h"
 #include "pdms/exec/thread_pool.h"
@@ -99,7 +98,7 @@ struct ServeOutcome {
 
 /// Evaluates admitted query requests on a FIFO pool of worker threads,
 /// each owning a serial Pdms facade over the same network and data, all
-/// sharing one thread-safe plan cache + goal memo (the concurrent-serving
+/// sharing one thread-safe plan cache (the concurrent-serving
 /// pattern, docs/parallel_execution.md). The executor owns admission
 /// control: Submit either returns a ShedFrame immediately (queue full /
 /// budget can't cover the expected wait) or schedules the request and
@@ -134,7 +133,6 @@ class RequestExecutor {
 
   AdmissionController* admission() { return &admission_; }
   cache::PlanCache* plan_cache() { return &plan_cache_; }
-  cache::GoalMemo* goal_memo() { return &goal_memo_; }
   const ExecutorOptions& options() const { return options_; }
 
   /// Milliseconds since executor construction — the clock the rolling
@@ -182,7 +180,6 @@ class RequestExecutor {
   obs::MetricsRegistry* metrics_;  // not owned; may be null
   AdmissionController admission_;
   cache::PlanCache plan_cache_;
-  cache::GoalMemo goal_memo_;
   std::function<void(ServeOutcome)> done_;
   std::unique_ptr<exec::ThreadPool> pool_;
 

@@ -125,7 +125,7 @@ Result<AnswerResult> SimPdms::Answer(const ConjunctiveQuery& query) {
   ReformulationOptions base = options_.reform;
   base.cost_estimator = estimator.get();
   QueryPipeline pipeline(network_, std::move(base),
-                         {trace_, metrics_, plan_cache_, goal_memo_});
+                         {trace_, metrics_, plan_cache_});
   PDMS_ASSIGN_OR_RETURN(QueryPlan plan, pipeline.Plan(query,
                                                       reformulator_.get(),
                                                       &query_span));

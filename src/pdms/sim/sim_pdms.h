@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "pdms/cache/goal_memo.h"
 #include "pdms/core/cost_estimator.h"
 #include "pdms/core/pdms.h"
 #include "pdms/fault/peer_health.h"
@@ -123,9 +124,9 @@ class SimPdms {
   void set_trace(obs::TraceContext* trace) { trace_ = trace; }
   void set_metrics(obs::MetricsRegistry* metrics) { metrics_ = metrics; }
 
-  /// Cross-query caches (borrowed, nullable — null disables; see
+  /// Cross-query plan cache (borrowed, nullable — null disables; see
   /// docs/plan_cache.md). Because a SimPdms is typically rebuilt per query
-  /// (ppl_shell does) while the caches outlive it, the caches are keyed by
+  /// (ppl_shell does) while the cache outlives it, its entries are keyed by
   /// the catalog's (revision, availability epoch) scope: each Answer call
   /// re-announces the scope of its copied network, so entries warmed
   /// through one SimPdms serve the next as long as the catalog has not
@@ -133,10 +134,13 @@ class SimPdms {
   /// scan still goes over the simulated network, so partitions, crashes,
   /// and message loss degrade a cached query exactly like a fresh one.
   void set_plan_cache(PlanCacheHook* cache) { plan_cache_ = cache; }
-  void set_goal_memo(GoalMemoHook* memo) { goal_memo_ = memo; }
+  /// A no-op that exists only because perfbench/src/sim_wan.cc still
+  /// calls it; it goes with ReformulationOptions::threads at the next
+  /// change to the benchmark.
+  void set_goal_memo(const cache::GoalMemo*) {}
 
   /// Peer failure detector (borrowed, nullable — null disables; see
-  /// docs/fault_tolerance.md). Like the caches, the tracker outlives the
+  /// docs/fault_tolerance.md). Like the plan cache, the tracker outlives the
   /// per-query SimPdms instances that consult it: suspicion learned by one
   /// query spares the next the timeout ladder. With a tracker attached and
   /// enabled, each fetch is gated before its first transmission — a
@@ -163,7 +167,6 @@ class SimPdms {
   obs::TraceContext* trace_ = nullptr;      // not owned; may be null
   obs::MetricsRegistry* metrics_ = nullptr;  // not owned; may be null
   PlanCacheHook* plan_cache_ = nullptr;      // not owned; may be null
-  GoalMemoHook* goal_memo_ = nullptr;        // not owned; may be null
   PeerHealthTracker* health_ = nullptr;      // not owned; may be null
 };
 

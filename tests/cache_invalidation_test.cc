@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "pdms/cache/dependency_index.h"
-#include "pdms/cache/goal_memo.h"
 #include "pdms/cache/plan_cache.h"
 #include "pdms/core/pdms.h"
 #include "pdms/lang/parser.h"
@@ -22,10 +21,9 @@ namespace {
 
 // --- DependencyIndex ---
 
-DepSet Deps(std::vector<std::string> preds, std::vector<size_t> ids = {}) {
+DepSet Deps(std::vector<std::string> preds) {
   DepSet deps;
   for (std::string& p : preds) deps.predicates.insert(std::move(p));
-  for (size_t id : ids) deps.descriptions.insert(id);
   return deps;
 }
 
@@ -34,42 +32,30 @@ TEST(DependencyIndex, MatchesByPredicateIntersection) {
   index.Add("k1", Deps({"A:R", "sa"}));
   index.Add("k2", Deps({"B:S", "sb"}));
   index.Add("k3", Deps({"A:R", "B:S"}));
-  EXPECT_EQ(index.Match({"A:R"}, SIZE_MAX),
+  EXPECT_EQ(index.Match({"A:R"}),
             (std::vector<std::string>{"k1", "k3"}));
-  EXPECT_EQ(index.Match({"sb"}, SIZE_MAX),
+  EXPECT_EQ(index.Match({"sb"}),
             (std::vector<std::string>{"k2"}));
-  EXPECT_TRUE(index.Match({"unrelated"}, SIZE_MAX).empty());
-}
-
-TEST(DependencyIndex, IdThresholdCatchesRenumberedDescriptions) {
-  DependencyIndex index;
-  index.Add("low", Deps({"A:R"}, {0, 1}));
-  index.Add("high", Deps({"B:S"}, {5}));
-  // A removal at id 3 renumbers ids >= 3: only "high" is stale.
-  EXPECT_EQ(index.Match({}, 3), (std::vector<std::string>{"high"}));
-  // SIZE_MAX disables the id criterion entirely.
-  EXPECT_TRUE(index.Match({}, SIZE_MAX).empty());
-  // Threshold 0 catches every entry that recorded any id.
-  EXPECT_EQ(index.Match({}, 0), (std::vector<std::string>{"high", "low"}));
+  EXPECT_TRUE(index.Match({"unrelated"}).empty());
 }
 
 TEST(DependencyIndex, RemoveAndReAddReplaceTheFootprint) {
   DependencyIndex index;
   index.Add("k", Deps({"A:R"}));
   index.Add("k", Deps({"B:S"}));  // re-registration replaces, not merges
-  EXPECT_TRUE(index.Match({"A:R"}, SIZE_MAX).empty());
-  EXPECT_EQ(index.Match({"B:S"}, SIZE_MAX),
+  EXPECT_TRUE(index.Match({"A:R"}).empty());
+  EXPECT_EQ(index.Match({"B:S"}),
             (std::vector<std::string>{"k"}));
   index.Remove("k");
-  EXPECT_TRUE(index.Match({"B:S"}, SIZE_MAX).empty());
+  EXPECT_TRUE(index.Match({"B:S"}).empty());
   EXPECT_EQ(index.size(), 0u);
 }
 
 // --- Selective invalidation through the facade ---
 
 // Two independent chains (C:T over B:S over A:R, and F:W over E:V over
-// D:U) sharing nothing: churn on one side must never drop plans or memo
-// entries warmed on the other.
+// D:U) sharing nothing: churn on one side must never drop plans warmed on
+// the other.
 constexpr const char* kTwoIslands = R"(
   peer A { relation R(x, y); }
   peer B { relation S(x, y); }
@@ -156,9 +142,7 @@ TEST(SelectiveInvalidation, FactInsertsNeverInvalidate) {
   Pdms pdms;
   ASSERT_TRUE(pdms.LoadProgram(kTwoIslands).ok());
   PlanCache plans;
-  GoalMemo memo;
   pdms.set_plan_cache(&plans);
-  pdms.set_goal_memo(&memo);
 
   ASSERT_TRUE(pdms.Answer("q(x, y) :- C:T(x, y).").ok());
   ASSERT_TRUE(pdms.Insert("sa", {Value::Int(7), Value::Int(8)}).ok());
@@ -168,32 +152,52 @@ TEST(SelectiveInvalidation, FactInsertsNeverInvalidate) {
   EXPECT_EQ(plans.stats().hits, hits_before + 1)
       << "rewritings are data-independent; inserts must not invalidate";
   EXPECT_EQ(plans.stats().invalidations, 0u);
-  EXPECT_EQ(memo.stats().invalidations, 0u);
   // The new fact flows through the cached plan.
   EXPECT_TRUE(after->Contains({Value::Int(7), Value::Int(8)}));
 }
 
-TEST(SelectiveInvalidation, MappingRemovalShiftsIdsAndDropsMemoEntries) {
+TEST(SelectiveInvalidation, MappingRemovalRenumbersIdsButKeepsUntouchedPlans) {
   Pdms pdms;
   ASSERT_TRUE(pdms.LoadProgram(kTwoIslands).ok());
-  GoalMemo memo;
-  pdms.set_goal_memo(&memo);
+  PlanCache plans;
+  pdms.set_plan_cache(&plans);
 
-  ASSERT_TRUE(pdms.Answer("q(x, y) :- C:T(x, y).").ok());
-  ASSERT_TRUE(pdms.Answer("p(x, y) :- F:W(x, y).").ok());
-  size_t warmed = memo.size();
-  EXPECT_GT(warmed, 0u);
+  const std::vector<std::string> queries = {
+      "q(x, y) :- C:T(x, y).", "p(x, y) :- F:W(x, y).",
+      "r(x, y) :- B:S(x, y).", "s(x, y) :- E:V(x, y)."};
+  for (const std::string& query : queries) {
+    ASSERT_TRUE(pdms.Answer(query).ok());
+  }
+  EXPECT_EQ(plans.size(), queries.size());
 
-  // Removing the first mapping renumbers every later description id. Memo
-  // entries record consulted ids in their footprints, so all warmed
-  // entries with ids at or above the removal slot must go — correctness
-  // over selectivity here, because memoized guard paths embed the ids.
+  // Removing the first mapping (B:S, on the C island) renumbers every
+  // later description id, the F island's included. Plans embed no ids —
+  // rewritings are plain queries over stored relations — so only the C
+  // island's plans are stale: the F island's keep hitting.
   std::string victim = pdms.network().peer_mappings().front().name;
+  ASSERT_EQ(pdms.network().peer_mappings().front().rule.head().predicate(),
+            "B:S");
   ASSERT_TRUE(pdms.mutable_network()->RemovePeerMapping(victim).ok());
-  auto after = pdms.Answer("p(x, y) :- F:W(x, y).");
-  ASSERT_TRUE(after.ok());
-  EXPECT_GT(memo.stats().invalidations, 0u);
-  EXPECT_TRUE(after->Contains({Value::Int(3), Value::Int(4)}));
+  size_t hits_before = plans.stats().hits;
+  ASSERT_TRUE(pdms.Answer("p(x, y) :- F:W(x, y).").ok());
+  ASSERT_TRUE(pdms.Answer("s(x, y) :- E:V(x, y).").ok());
+  EXPECT_EQ(plans.stats().hits, hits_before + 2)
+      << "renumbered ids alone must not stale a plan";
+  EXPECT_EQ(plans.stats().invalidations, 2u)
+      << "exactly the C island's plans are dropped";
+
+  // Every answer, cached or not, equals a fresh facade's over the same
+  // edited network.
+  Pdms fresh;
+  ASSERT_TRUE(fresh.LoadProgram(kTwoIslands).ok());
+  ASSERT_TRUE(fresh.mutable_network()->RemovePeerMapping(victim).ok());
+  for (const std::string& query : queries) {
+    auto actual = pdms.Answer(query);
+    auto expected = fresh.Answer(query);
+    ASSERT_EQ(actual.ok(), expected.ok()) << query;
+    if (!expected.ok()) continue;
+    EXPECT_EQ(actual->ToString(), expected->ToString()) << query;
+  }
 }
 
 TEST(SelectiveInvalidation, WholesaleModeClearsOnAnyMovement) {

@@ -153,31 +153,26 @@ TEST(CachingPdms, ClearAndBudgetControls) {
   EXPECT_GT(pdms.plan_cache()->size(), 0u);
   pdms.ClearCaches();
   EXPECT_EQ(pdms.plan_cache()->size(), 0u);
-  EXPECT_EQ(pdms.goal_memo()->size(), 0u);
 
   ASSERT_TRUE(pdms.Answer("q(x, y) :- B:S(x, y).").ok());
   pdms.set_plan_budget_bytes(1);
-  pdms.set_memo_budget_bytes(1);
   // The next insert evicts the oversized survivor; budgets stick.
   EXPECT_EQ(pdms.plan_cache()->budget_bytes(), 1u);
   std::string stats = pdms.CacheStatsString();
   EXPECT_NE(stats.find("plan cache"), std::string::npos);
-  EXPECT_NE(stats.find("goal memo"), std::string::npos);
 }
 
 TEST(CachingPdms, SharedCachesServeSimPdmsAcrossInstances) {
-  // ppl_shell's pattern: one long-lived cache pair, a fresh SimPdms per
+  // ppl_shell's pattern: one long-lived plan cache, a fresh SimPdms per
   // query. The second instance hits the plan the first one warmed because
   // the catalog scope is unchanged.
   Pdms base;
   ASSERT_TRUE(base.LoadProgram(kProgram).ok());
   PlanCache plans;
-  GoalMemo memo;
 
   auto run = [&](const std::string& query) {
     sim::SimPdms sim(base.network(), base.database());
     sim.set_plan_cache(&plans);
-    sim.set_goal_memo(&memo);
     auto result = sim.Answer(query);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     return result->answers.ToString();

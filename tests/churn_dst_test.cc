@@ -6,7 +6,7 @@
 // remove, stored-relation availability flips, fact inserts. Two twins
 // execute the same schedule against the same shared world:
 //
-//   cached twin   — shared PlanCache + GoalMemo with dependency-tracked
+//   cached twin   — shared PlanCache with dependency-tracked
 //                   invalidation, plus a PeerHealthTracker;
 //   uncached twin — no caches, its own (identically configured) tracker.
 //
@@ -34,7 +34,6 @@
 #include <thread>
 #include <vector>
 
-#include "pdms/cache/goal_memo.h"
 #include "pdms/cache/plan_cache.h"
 #include "pdms/fault/peer_health.h"
 #include "pdms/gen/topology.h"
@@ -135,7 +134,6 @@ void RunSeed(uint64_t seed, size_t num_peers, size_t steps,
   ChurnDriver driver(churn_config, &world->network, &world->data);
 
   cache::PlanCache plans;
-  cache::GoalMemo memo;
   PeerHealthTracker cached_health(HealthFor());
   PeerHealthTracker plain_health(HealthFor());
 
@@ -164,7 +162,6 @@ void RunSeed(uint64_t seed, size_t num_peers, size_t steps,
 
     SimPdms cached(world->network, world->data, options);
     cached.set_plan_cache(&plans);
-    cached.set_goal_memo(&memo);
     cached.set_health(&cached_health);
     SimPdms plain(world->network, world->data, options);
     plain.set_health(&plain_health);
@@ -353,7 +350,6 @@ TEST(ChurnDst, SharedCachesSurviveFourThreadsAcrossChurnRounds) {
   ChurnDriver driver(churn_config, &world->network, &world->data);
 
   cache::PlanCache plans;
-  cache::GoalMemo memo;
   const size_t kThreads = 4;
   const size_t kRounds = 6;
   const size_t kQueriesPerThread = 5;
@@ -383,7 +379,6 @@ TEST(ChurnDst, SharedCachesSurviveFourThreadsAcrossChurnRounds) {
           options.seed = seed * 100 + round * 10 + q;
           SimPdms sim(world->network, world->data, options);
           sim.set_plan_cache(&plans);
-          sim.set_goal_memo(&memo);
           auto r = sim.Answer(queries[q]);
           got[t].push_back(r.ok() ? r->answers.ToString()
                                   : r.status().ToString());

@@ -166,15 +166,6 @@ TEST(RenameApart, ProducesDisjointVariables) {
   EXPECT_EQ(renamed.head().predicate(), "q");
 }
 
-TEST(Canonical, AtomKeyAbstractsNames) {
-  auto a1 = ParseAtomText("p(x, y, x, 3)");
-  auto a2 = ParseAtomText("p(a, b, a, 3)");
-  auto a3 = ParseAtomText("p(a, b, b, 3)");
-  ASSERT_TRUE(a1.ok() && a2.ok() && a3.ok());
-  EXPECT_EQ(CanonicalAtomKey(*a1), CanonicalAtomKey(*a2));
-  EXPECT_NE(CanonicalAtomKey(*a1), CanonicalAtomKey(*a3));
-}
-
 TEST(Canonical, QueryKeyModuloRenamingAndOrder) {
   auto q1 = ParseRuleText("q(x) :- r(x, y), s(y).");
   auto q2 = ParseRuleText("q(a) :- s(b), r(a, b).");

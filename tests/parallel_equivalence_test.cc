@@ -13,7 +13,6 @@
 
 #include <gtest/gtest.h>
 
-#include "pdms/cache/goal_memo.h"
 #include "pdms/cache/plan_cache.h"
 #include "pdms/core/pdms.h"
 #include "pdms/gen/workload.h"
@@ -143,14 +142,13 @@ TEST(ParallelEquivalence, DeepTreeBuildsSerially) {
 
 TEST(ParallelEquivalence, ConcurrentServingSharedCaches) {
   // Several serving threads, each with its own facade, sharing one plan
-  // cache and one goal memo — the deployment the thread-safe caches
-  // exist for. Every thread must see exactly the baseline answers.
+  // cache — the deployment the thread-safe cache exists for. Every thread
+  // must see exactly the baseline answers.
   gen::Workload workload = MakeWorkload(31);
   std::string expected = RunOne(workload).answers;
   ASSERT_FALSE(expected.empty());
 
   cache::PlanCache shared_plans;
-  cache::GoalMemo shared_memo;
   constexpr size_t kServers = 4;
   constexpr size_t kRequests = 8;
   std::vector<std::string> got(kServers);
@@ -160,7 +158,6 @@ TEST(ParallelEquivalence, ConcurrentServingSharedCaches) {
     servers.emplace_back([&, s] {
       Pdms pdms = MakePdms(workload);
       pdms.set_plan_cache(&shared_plans);
-      pdms.set_goal_memo(&shared_memo);
       for (size_t r = 0; r < kRequests; ++r) {
         auto result = pdms.AnswerWithReport(workload.query);
         if (!result.ok()) {

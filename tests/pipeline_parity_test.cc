@@ -8,7 +8,7 @@
 // cold, warm, and after one stored relation of its first rewriting is
 // marked unavailable — and, as ppl_shell does, each simulated run gets a
 // fresh SimPdms over the facade's current catalog and data while its
-// PlanCache + GoalMemo pair is shared across runs. Per run:
+// PlanCache is shared across runs. Per run:
 //
 //  - the canonical answers of all three paths are equal;
 //  - the local and simulated reports agree on plan_cache_hit, the static
@@ -25,7 +25,6 @@
 
 #include <gtest/gtest.h>
 
-#include "pdms/cache/goal_memo.h"
 #include "pdms/cache/plan_cache.h"
 #include "pdms/core/pdms.h"
 #include "pdms/core/reformulator.h"
@@ -120,14 +119,12 @@ std::string StreamAll(Pdms* pdms, const ConjunctiveQuery& query) {
 // current catalog and data, wired to the long-lived caches.
 struct SimSide {
   cache::PlanCache plan_cache;
-  cache::GoalMemo goal_memo;
   obs::MetricsRegistry metrics;
 
   Result<AnswerResult> Answer(const Pdms& facade,
                               const ConjunctiveQuery& query) {
     sim::SimPdms sim(facade.network(), facade.database());
     sim.set_plan_cache(&plan_cache);
-    sim.set_goal_memo(&goal_memo);
     sim.set_metrics(&metrics);
     return sim.Answer(query);
   }
@@ -151,13 +148,11 @@ TEST(PipelineParity, LocalStreamingAndSimAgreeAcrossCacheStates) {
     for (const ConjunctiveQuery& query : world.queries) {
       SCOPED_TRACE(query.ToString());
       cache::PlanCache plan_cache;
-      cache::GoalMemo goal_memo;
       obs::MetricsRegistry metrics;
       Pdms local;
       *local.mutable_network() = world.network;
       *local.mutable_database() = world.data;
       local.set_plan_cache(&plan_cache);
-      local.set_goal_memo(&goal_memo);
       local.set_metrics(&metrics);
       SimSide sim;
       const std::string downed = FirstScannedRelation(world.network, query);

@@ -215,6 +215,29 @@ TEST(PlanCache, EstimateGrowsWithPlanSize) {
             PlanCache::EstimatePlanBytes("k", small));
 }
 
+// OptionsFingerprint scopes the plan cache: builds share cached plans
+// only when their fingerprints agree.
+TEST(PlanCache, FingerprintSeparatesSourceRestrictions) {
+  ReformulationOptions a;
+  ReformulationOptions b;
+  b.unavailable_stored.insert("sa");
+  ReformulationOptions c;
+  c.allowed_stored.insert("sv");
+  // Availability is deliberately NOT part of the fingerprint: flips are
+  // catalog change events handled by dependency-tracked invalidation, so
+  // entries untouched by a flip keep hitting (docs/churn_invalidation.md).
+  EXPECT_EQ(OptionsFingerprint(a), OptionsFingerprint(b));
+  // The allow-list *is* structural: it shapes which expansions exist.
+  EXPECT_NE(OptionsFingerprint(a), OptionsFingerprint(c));
+  EXPECT_NE(OptionsFingerprint(b), OptionsFingerprint(c));
+  EXPECT_EQ(OptionsFingerprint(a), OptionsFingerprint(ReformulationOptions{}));
+  // The tree-node budget is deliberately *not* part of the fingerprint:
+  // only untruncated plans are cached, and those are budget-invariant.
+  ReformulationOptions d;
+  d.max_tree_nodes = 7;
+  EXPECT_EQ(OptionsFingerprint(a), OptionsFingerprint(d));
+}
+
 }  // namespace
 }  // namespace cache
 }  // namespace pdms

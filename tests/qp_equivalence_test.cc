@@ -13,7 +13,6 @@
 
 #include <gtest/gtest.h>
 
-#include "pdms/cache/goal_memo.h"
 #include "pdms/cache/plan_cache.h"
 #include "pdms/core/pdms.h"
 #include "pdms/eval/evaluator.h"

@@ -1,7 +1,11 @@
 #!/usr/bin/env bash
 # The full CI gate, in dependency order:
 #
-#   1. default build + complete ctest suite (tier-1; must stay green)
+#   1. default build + complete ctest suite (tier-1; must stay green),
+#      after a check that the goal-memo stub (`struct GoalMemo {};` and
+#      the no-op `SimPdms::set_goal_memo`, kept only for the benchmark's
+#      sim_wan workload) has no caller in src/, tests/, bench/ or
+#      examples/
 #   2. AddressSanitizer + UBSan build + full suite (tools/ci_sanitize.sh)
 #   3. deterministic-simulation smoke: 32 seeded schedules through the
 #      message-passing runtime (partitions, loss, duplication, crashes).
@@ -17,7 +21,7 @@
 #   6. ThreadSanitizer gate over request-level concurrency: the FIFO
 #      worker pool that runs the serving executor's requests (exec_test),
 #      the concurrent-serving suite (several serving threads, each with
-#      its own facade, over one shared plan cache and goal memo, every
+#      its own facade, over one shared plan cache, every
 #      answer equal to the baseline, beside its serial determinism and
 #      95,136-node deep-tree cases; docs/parallel_execution.md) and the
 #      shared-prefix suite, including the buffer-reuse cases (siblings of
@@ -27,7 +31,7 @@
 #   7. churn gate: a 32-seed churn-DST smoke (cached and uncached twins
 #      byte-compared under live catalog churn) plus the dependency-
 #      tracked invalidation and peer-health suites, all under TSan,
-#      including the 4-thread shared-cache churn test
+#      including the 4-thread shared-plan-cache churn test
 #      (docs/churn_invalidation.md). The nightly-sized run is the full
 #      200-seed default of tests/churn_dst_test.
 #   8. serving gate: build ppl_serverd and smoke it over loopback TCP
@@ -79,6 +83,18 @@ TSAN_BUILD_DIR="${TSAN_BUILD_DIR:-build-tsan}"
 JOBS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
 
 echo "== [1/11] default build + tests =="
+# The plan cache is the only cross-query cache. The goal-memo names stay as
+# a two-line stub only because perfbench/src/sim_wan.cc still uses them;
+# any other occurrence is a new caller of dead code.
+memo_uses="$(grep -rnE 'GoalMemo|set_goal_memo' src tests bench examples |
+  grep -vE '^src/pdms/cache/goal_memo\.h:[0-9]+:struct GoalMemo \{\};$' |
+  grep -vE '^src/pdms/sim/sim_pdms\.h:[0-9]+:  void set_goal_memo\(const cache::GoalMemo\*\) \{\}$' ||
+  true)"
+if [ -n "${memo_uses}" ]; then
+  echo "goal-memo stub used outside perfbench/:" >&2
+  echo "${memo_uses}" >&2
+  exit 1
+fi
 cmake -B "${BUILD_DIR}" -S .
 cmake --build "${BUILD_DIR}" -j "${JOBS}"
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "${JOBS}"
@@ -135,7 +151,7 @@ TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
 echo "== [7/11] tsan: churn DST smoke + invalidation/health suites =="
 cmake --build "${TSAN_BUILD_DIR}" -j "${JOBS}" \
   --target churn_dst_test cache_invalidation_test peer_health_test
-# The 32-seed twin comparison and the 4-thread shared-cache churn test;
+# The 32-seed twin comparison and the 4-thread shared-plan-cache churn test;
 # the full 200-seed sweep is the binary's default outside CI.
 TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
   "${TSAN_BUILD_DIR}/tests/churn_dst_test" --gtest_filter=\
