@@ -33,7 +33,7 @@
 // `quit` (EOF quits too). SIGINT/SIGTERM trigger a graceful shutdown
 // either way: drain in-flight requests, print a final stats snapshot,
 // and flush the access-log tail. Talk to the daemon with `ppl_shell`
-// (`connect 127.0.0.1:<port>`), `ppl_top`, or `serving_loadgen`.
+// (`connect 127.0.0.1:<port>`) or `ppl_top`.
 
 #include <csignal>
 #include <cstdio>

@@ -6,6 +6,18 @@
 #include "pdms/util/strings.h"
 
 namespace pdms {
+namespace {
+
+// Weight of the live SRTT when the tracker has a sample for the peer; the
+// static estimate keeps the rest.
+constexpr double kSrttBlend = 0.5;
+// Added to the estimate of a currently-suspected peer so replicas on
+// healthy peers win ties without hard-excluding the suspect.
+constexpr double kSuspectPenaltyMs = 10000.0;
+// Nominal message size used for static round-trip estimates.
+constexpr size_t kNominalBytes = 256;
+
+}  // namespace
 
 void LinkMap::SetZone(const std::string& node, size_t zone) {
   zone_[node] = zone;
@@ -98,17 +110,16 @@ std::string LinkMap::ToString() const {
 
 CostEstimator::CostEstimator(const PdmsNetwork* network, const LinkMap* links,
                              std::string origin,
-                             const PeerHealthTracker* health, Options options)
+                             const PeerHealthTracker* health)
     : network_(network),
       links_(links),
       origin_(std::move(origin)),
-      health_(health),
-      options_(options) {}
+      health_(health) {}
 
 double CostEstimator::StaticRttMs(const std::string& peer) const {
   if (links_ == nullptr) return 0;
-  return links_->Get(origin_, peer).OneWayMs(options_.nominal_bytes) +
-         links_->Get(peer, origin_).OneWayMs(options_.nominal_bytes);
+  return links_->Get(origin_, peer).OneWayMs(kNominalBytes) +
+         links_->Get(peer, origin_).OneWayMs(kNominalBytes);
 }
 
 double CostEstimator::PeerCostMs(const std::string& peer) const {
@@ -116,9 +127,9 @@ double CostEstimator::PeerCostMs(const std::string& peer) const {
   if (health_ != nullptr) {
     double srtt = health_->SrttMs(peer);
     if (srtt > 0) {
-      cost = (1.0 - options_.srtt_blend) * cost + options_.srtt_blend * srtt;
+      cost = (1.0 - kSrttBlend) * cost + kSrttBlend * srtt;
     }
-    if (health_->IsSuspected(peer)) cost += options_.suspect_penalty_ms;
+    if (health_->IsSuspected(peer)) cost += kSuspectPenaltyMs;
   }
   return cost;
 }

@@ -100,37 +100,18 @@ class LinkMap {
 /// (docs/network_cost_model.md): static link costs from a LinkMap blended
 /// with the live EWMA SRTT the PeerHealthTracker already maintains. The
 /// reformulator uses ScanCostMs to order expansion candidates cheapest-
-/// first, the qp planner annotates plan explains with it, and the
-/// simulated coordinator uses CheapestProvider to pick among replicated
-/// storage descriptions. Estimates only ever reorder work — answer
-/// contents never depend on them — so a wildly wrong estimate costs
-/// latency, not soundness.
+/// first, and the simulated coordinator uses CheapestProvider to pick
+/// among replicated storage descriptions. Estimates only ever reorder
+/// work — answer contents never depend on them — so a wildly wrong
+/// estimate costs latency, not soundness.
 ///
 /// All inputs are borrowed and must outlive the estimator; `health` is
 /// nullable (static costs only). Every method is const and deterministic
 /// in (catalog, link map, tracker state).
 class CostEstimator {
  public:
-  struct Options {
-    /// Weight of the live SRTT when the tracker has a sample for the peer;
-    /// the static estimate keeps the rest.
-    double srtt_blend = 0.5;
-    /// Added to the estimate of a currently-suspected peer so replicas on
-    /// healthy peers win ties without hard-excluding the suspect.
-    double suspect_penalty_ms = 10000.0;
-    /// Nominal message size used for static round-trip estimates.
-    size_t nominal_bytes = 256;
-  };
-
   CostEstimator(const PdmsNetwork* network, const LinkMap* links,
-                std::string origin, const PeerHealthTracker* health,
-                Options options);
-  // Split from the full overload instead of `Options options = {}`: a
-  // brace default argument of a nested aggregate with member initializers
-  // trips GCC while the enclosing class is still incomplete.
-  CostEstimator(const PdmsNetwork* network, const LinkMap* links,
-                std::string origin, const PeerHealthTracker* health = nullptr)
-      : CostEstimator(network, links, std::move(origin), health, Options()) {}
+                std::string origin, const PeerHealthTracker* health = nullptr);
 
   /// Static round trip origin -> peer -> origin at nominal message size.
   double StaticRttMs(const std::string& peer) const;
@@ -157,7 +138,6 @@ class CostEstimator {
   const LinkMap* links_;              // not owned
   std::string origin_;
   const PeerHealthTracker* health_;   // not owned; may be null
-  Options options_;
 };
 
 }  // namespace pdms

@@ -72,7 +72,6 @@ ReformulationResult QueryPlan::ToResult() && {
   ReformulationResult out;
   out.rewriting = cached != nullptr ? cached->rewriting : std::move(fresh);
   out.stats = std::move(stats);
-  out.physical_slot = std::move(physical);
   return out;
 }
 
@@ -139,7 +138,6 @@ Result<QueryPlan> QueryPipeline::Plan(const ConjunctiveQuery& query,
                         reformulator->Reformulate(query, options_));
   plan.fresh = std::move(ref.rewriting);
   plan.stats = std::move(ref.stats);
-  plan.physical = std::move(ref.physical_slot);
   // Truncated plans are incomplete by budget, not by semantics — caching
   // one would freeze the truncation; let a later (perhaps less loaded)
   // query rebuild instead.

@@ -2,7 +2,6 @@
 #define PDMS_CORE_REFORMULATOR_H_
 
 #include <functional>
-#include <memory>
 #include <optional>
 #include <set>
 #include <string>
@@ -11,7 +10,6 @@
 #include "pdms/core/network.h"
 #include "pdms/core/normalize.h"
 #include "pdms/core/rule_goal_tree.h"
-#include "pdms/qp/physical_plan.h"
 
 namespace pdms {
 
@@ -20,13 +18,6 @@ namespace pdms {
 struct ReformulationResult {
   UnionQuery rewriting;
   ReformulationStats stats;
-  /// Where the vectorized engine caches the physical plan compiled for
-  /// this rewriting (docs/query_planning.md). Shared with the PlanCache
-  /// entry when the rewriting came from (or was inserted into) the cache,
-  /// so hot queries skip planning; null when no cache is attached, in
-  /// which case the engine plans per query (join tables in its catalog
-  /// still amortize across queries).
-  std::shared_ptr<qp::PhysicalPlanSlot> physical_slot;
 };
 
 /// The query reformulation engine (Section 4). Construction normalizes the

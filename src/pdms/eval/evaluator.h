@@ -73,8 +73,8 @@ struct DegradedEvalResult {
 /// `eval.disjuncts` / `eval.disjuncts_skipped` / `eval.answers`.
 ///
 /// The tuple-at-a-time reference oracle: answering runs
-/// qp::Engine::EvaluateUnionDegraded, and the engine tests and the
-/// eval_vectorized bench compare it against this one.
+/// qp::Engine::EvaluateUnionDegraded, and the engine tests compare it
+/// against this one.
 Result<DegradedEvalResult> EvaluateUnionDegraded(
     const UnionQuery& uq, const Database& db, const StoredGate& gate,
     obs::TraceContext* trace = nullptr,

@@ -44,8 +44,7 @@ Result<std::shared_ptr<const UnionPlan>> Engine::PlanOrReuse(
     }
   }
 
-  PDMS_ASSIGN_OR_RETURN(UnionPlan fresh,
-                        PlanUnion(uq, db, catalog_, net_cost_));
+  PDMS_ASSIGN_OR_RETURN(UnionPlan fresh, PlanUnion(uq, db, catalog_));
   auto owned = std::make_shared<const UnionPlan>(std::move(fresh));
   if (slot != nullptr) slot->Set(owned);
   plan_span.Set("cached", false);
@@ -200,8 +199,7 @@ Result<std::vector<Tuple>> Engine::EvaluateDisjunct(const ConjunctiveQuery& cq,
     const Relation* rel = db.Find(a.predicate());
     if (rel != nullptr) catalog_.Ensure(*rel);
   }
-  PDMS_ASSIGN_OR_RETURN(DisjunctPlan dp,
-                        PlanDisjunct(cq, db, catalog_, net_cost_));
+  PDMS_ASSIGN_OR_RETURN(DisjunctPlan dp, PlanDisjunct(cq, db, catalog_));
   return ExecuteDisjunct(dp, db, catalog_, nullptr);
 }
 
@@ -216,8 +214,7 @@ Result<std::string> Engine::Explain(const UnionQuery& uq, const Database& db) {
   size_t index = 0;
   size_t total = 0;
   for (const ConjunctiveQuery& cq : uq.disjuncts()) {
-    PDMS_ASSIGN_OR_RETURN(DisjunctPlan dp,
-                          PlanDisjunct(cq, db, catalog_, net_cost_));
+    PDMS_ASSIGN_OR_RETURN(DisjunctPlan dp, PlanDisjunct(cq, db, catalog_));
     StepActuals actuals;
     PDMS_ASSIGN_OR_RETURN(std::vector<Tuple> tuples,
                           ExecuteDisjunct(dp, db, catalog_, &actuals));

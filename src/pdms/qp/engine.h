@@ -67,14 +67,6 @@ class Engine {
 
   ColumnarCatalog* catalog() { return &catalog_; }
 
-  /// Per-relation network-cost annotator handed to the planner
-  /// (docs/network_cost_model.md): freshly compiled plans carry
-  /// PlannedScan::est_net_ms for explain output. Explain-only — plans,
-  /// join orders, and answers are identical with or without it. Callers
-  /// whose cost estimator is shorter-lived than the engine (SimPdms builds
-  /// one per query) must reset it before the estimator dies.
-  void set_net_cost(NetCostFn net_cost) { net_cost_ = std::move(net_cost); }
-
  private:
   /// Reuses the plan in `slot` when its fingerprint still matches this
   /// catalog; otherwise compiles a fresh plan (and publishes it to the
@@ -85,7 +77,6 @@ class Engine {
       obs::MetricsRegistry* metrics, PhysicalPlanSlot* slot);
 
   ColumnarCatalog catalog_;
-  NetCostFn net_cost_;  // nullable; see set_net_cost
 };
 
 }  // namespace qp

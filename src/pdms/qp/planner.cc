@@ -85,8 +85,7 @@ std::string ScanSignature(const PlannedScan& scan,
 
 Result<DisjunctPlan> PlanDisjunct(const ConjunctiveQuery& cq,
                                   const Database& db,
-                                  const ColumnarCatalog& catalog,
-                                  const NetCostFn& net_cost) {
+                                  const ColumnarCatalog& catalog) {
   PDMS_RETURN_IF_ERROR(cq.CheckSafe());
   DisjunctPlan plan;
 
@@ -298,11 +297,6 @@ Result<DisjunctPlan> PlanDisjunct(const ConjunctiveQuery& cq,
     step.live_after = live;
     for (size_t slot : step.key_slots) live[slot] = 1;
   }
-  if (net_cost != nullptr) {
-    for (PlannedStep& step : plan.steps) {
-      step.scan.est_net_ms = net_cost(step.scan.relation);
-    }
-  }
   return plan;
 }
 
@@ -465,12 +459,10 @@ int32_t UnionPlanBuilder::JoinTableId(uint32_t relation,
 }
 
 Result<UnionPlan> PlanUnion(const UnionQuery& uq, const Database& db,
-                            const ColumnarCatalog& catalog,
-                            const NetCostFn& net_cost) {
+                            const ColumnarCatalog& catalog) {
   UnionPlanBuilder builder;
   for (const ConjunctiveQuery& cq : uq.disjuncts()) {
-    PDMS_ASSIGN_OR_RETURN(DisjunctPlan dp,
-                          PlanDisjunct(cq, db, catalog, net_cost));
+    PDMS_ASSIGN_OR_RETURN(DisjunctPlan dp, PlanDisjunct(cq, db, catalog));
     builder.Add(std::move(dp));
   }
   UnionPlan plan = std::move(builder).Finish();
@@ -520,11 +512,6 @@ std::string RenderDisjunctPlan(const DisjunctPlan& plan,
     if (!s.scan.const_eq.empty() || !s.scan.dup_eq.empty()) {
       filters = StrFormat(" filters=%zu",
                           s.scan.const_eq.size() + s.scan.dup_eq.size());
-    }
-    // Printed only when annotated, so plans without a cost model render
-    // exactly as before.
-    if (s.scan.est_net_ms > 0) {
-      filters += StrFormat(" net=%.1fms", s.scan.est_net_ms);
     }
     if (i == 0) {
       out += StrFormat("  scan %s%s est=%.1f%s\n", s.scan.relation.c_str(),

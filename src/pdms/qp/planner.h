@@ -2,7 +2,6 @@
 #define PDMS_QP_PLANNER_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -44,11 +43,6 @@ struct PlannedScan {
   std::vector<std::pair<size_t, size_t>> dup_eq;   // column == earlier column
   std::vector<std::pair<size_t, size_t>> binds;    // column -> new slot
   double est_rows = 0;  // after filters
-  /// Estimated network round trip to fetch this relation, in virtual ms
-  /// (docs/network_cost_model.md); 0 when no cost annotator was supplied
-  /// or the relation is local. Explain-only — join order, build-side
-  /// choice, and answers never read it.
-  double est_net_ms = 0;
   /// Identifies (filters, key columns) for join-table caching; filled by
   /// the planner for join steps.
   std::string signature;
@@ -188,29 +182,20 @@ std::vector<char> MarkPaths(const UnionPlan& plan,
 std::vector<char> JoinTableNeeds(const UnionPlan& plan,
                                  const std::vector<char>& paths);
 
-/// Optional per-relation network-cost annotator: maps a stored relation
-/// name to its estimated fetch round trip in virtual ms (typically
-/// CostEstimator::ScanCostMs). Stamps PlannedScan::est_net_ms for explain
-/// output; never consulted for join ordering, so a null annotator and a
-/// live one plan identically.
-using NetCostFn = std::function<double(const std::string&)>;
-
 /// Plans one disjunct: pushes constant/duplicate filters into the scans,
 /// orders the joins greedily by estimated output cardinality (statistics
 /// from `catalog`; relations missing from `db` estimate to zero rows), and
 /// picks each join's build side. The query must be safe (CheckSafe).
 Result<DisjunctPlan> PlanDisjunct(const ConjunctiveQuery& cq,
                                   const Database& db,
-                                  const ColumnarCatalog& catalog,
-                                  const NetCostFn& net_cost = nullptr);
+                                  const ColumnarCatalog& catalog);
 
 /// Plans every disjunct, inserts its steps into the shared-prefix trie
 /// (nodes are keyed on relation, scan filters and key columns, canonical
 /// key slots, binds, build side and comparisons), and stamps the stats
 /// fingerprint.
 Result<UnionPlan> PlanUnion(const UnionQuery& uq, const Database& db,
-                            const ColumnarCatalog& catalog,
-                            const NetCostFn& net_cost = nullptr);
+                            const ColumnarCatalog& catalog);
 
 /// Renders one disjunct's plan as an indented text block:
 ///

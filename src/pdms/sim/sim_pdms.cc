@@ -112,16 +112,6 @@ Result<AnswerResult> SimPdms::Answer(const ConjunctiveQuery& query) {
     estimator = std::make_unique<CostEstimator>(
         &network_, options_.links, kCoordinatorName, health_);
   }
-  // The qp planner stamps freshly compiled plans with est_net_ms for
-  // explain output while this query's estimator lives. Reset first so the
-  // engine can never consult a prior query's (destroyed) estimator.
-  engine_.set_net_cost(nullptr);
-  if (cost_aware) {
-    engine_.set_net_cost([est = estimator.get()](const std::string& relation) {
-      return est->ScanCostMs(relation);
-    });
-  }
-
   ReformulationOptions base = options_.reform;
   base.cost_estimator = estimator.get();
   QueryPipeline pipeline(network_, std::move(base),

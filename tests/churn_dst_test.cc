@@ -212,7 +212,8 @@ TEST(ChurnDst, CachedAndUncachedTwinsStayByteIdentical) {
 // dependency-tracked invalidation only drops the plans whose footprints
 // the edit touches, so the hot plans survive. Wholesale clearing — the
 // pre-tracking behavior, kept as a negative control — drops everything on
-// every catalog movement and cannot reach the bar.
+// every catalog movement and cannot reach the bar. Both answer every
+// request byte-identically.
 TEST(ChurnDst, SustainedHitRateUnderSteadyChurnBeatsWholesale) {
   const uint64_t seed = 7;
   gen::TopologyConfig tconfig = TopologyFor(seed, 32);
@@ -251,10 +252,17 @@ TEST(ChurnDst, SustainedHitRateUnderSteadyChurnBeatsWholesale) {
 
     SimPdms a(world->network, world->data, options);
     a.set_plan_cache(&tracked);
-    ASSERT_TRUE(a.Answer(query).ok());
+    auto tracked_answer = a.Answer(query);
+    ASSERT_TRUE(tracked_answer.ok()) << tracked_answer.status().ToString();
     SimPdms b(world->network, world->data, options);
     b.set_plan_cache(&wholesale);
-    ASSERT_TRUE(b.Answer(query).ok());
+    auto wholesale_answer = b.Answer(query);
+    ASSERT_TRUE(wholesale_answer.ok())
+        << wholesale_answer.status().ToString();
+    // Keeping more plans must never change an answer.
+    EXPECT_EQ(tracked_answer->answers.ToString(),
+              wholesale_answer->answers.ToString())
+        << "step " << step;
   }
 
   auto rate = [](const cache::PlanCacheStats& s) {

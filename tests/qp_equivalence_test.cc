@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -37,6 +38,25 @@ gen::Workload MakeWorkload(uint64_t seed, size_t facts_per_stored,
   config.facts_per_stored = facts_per_stored;
   config.value_domain = value_domain;
   config.seed = seed;
+  auto workload = gen::GenerateWorkload(config);
+  EXPECT_TRUE(workload.ok()) << workload.status().ToString();
+  return std::move(*workload);
+}
+
+// The evaluation-heavy world: single definitional providers make each
+// rewriting one chain join whose length doubles per stratum, over 1,024
+// facts per stored relation in a domain just above that (join fan-out
+// ~0.8), so deep chains stay selective but still produce answers.
+gen::Workload ChainWorkload(size_t strata) {
+  gen::WorkloadConfig config;
+  config.num_peers = 48;
+  config.num_strata = strata;
+  config.providers_per_relation = 1;
+  config.definitional_fraction = 1.0;
+  config.definitional_union_width = 1;
+  config.facts_per_stored = 1024;
+  config.value_domain = 1280;
+  config.seed = 4200;
   auto workload = gen::GenerateWorkload(config);
   EXPECT_TRUE(workload.ok()) << workload.status().ToString();
   return std::move(*workload);
@@ -187,10 +207,21 @@ std::vector<std::string> FirstUseOrder(const UnionQuery& uq) {
 TEST(QpEquivalence, GateIsConsultedOncePerDistinctRelation) {
   // StoredGate contract (eval/evaluator.h): one call per distinct plan
   // relation per evaluation, in first-use order, whatever the verdicts —
-  // on a cold plan slot, a warm one, and with some relations vetoed.
+  // on a cold plan slot, a warm one, and with some relations vetoed. A
+  // fresh engine and one engine re-evaluating through one plan slot both
+  // answer exactly as the legacy evaluator, on small random worlds and on
+  // long chain joins.
+  std::vector<std::pair<std::string, gen::Workload>> worlds;
   for (uint64_t seed : {3u, 17u, 58u}) {
-    SCOPED_TRACE("seed " + std::to_string(seed));
-    gen::Workload workload = MakeWorkload(seed, 6, 8);
+    worlds.emplace_back("seed " + std::to_string(seed),
+                        MakeWorkload(seed, 6, 8));
+  }
+  for (size_t strata : {size_t{2}, size_t{3}}) {
+    worlds.emplace_back("chain, strata " + std::to_string(strata),
+                        ChainWorkload(strata));
+  }
+  for (const auto& [name, workload] : worlds) {
+    SCOPED_TRACE(name);
     Pdms pdms = MakePdms(workload);
     auto ref = pdms.Reformulate(workload.query);
     ASSERT_TRUE(ref.ok()) << ref.status().ToString();
@@ -214,6 +245,13 @@ TEST(QpEquivalence, GateIsConsultedOncePerDistinctRelation) {
       auto want = EvaluateUnionDegraded(uq, workload.data, verdict);
       ASSERT_TRUE(want.ok()) << want.status().ToString();
       want->answers.SortCanonical();
+      if (!veto) {
+        EXPECT_FALSE(want->answers.empty());
+      }
+      qp::Engine fresh;
+      auto unslotted = fresh.EvaluateUnionDegraded(uq, workload.data, verdict);
+      ASSERT_TRUE(unslotted.ok()) << unslotted.status().ToString();
+      EXPECT_EQ(unslotted->answers.tuples(), want->answers.tuples());
       qp::Engine engine;
       qp::PhysicalPlanSlot slot;
       for (const char* state : {"cold", "warm"}) {

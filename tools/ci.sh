@@ -47,7 +47,8 @@
 #  10. query-planner gate: the qp storage/planner suite, the seeded
 #      engine-vs-legacy-oracle equivalence property suite (the vectorized
 #      engine on every answering path against the tuple-at-a-time
-#      evaluator kept as its oracle), and the client-pool suite re-run
+#      evaluator kept as its oracle, long chain joins over 1,024 facts
+#      per relation included), and the client-pool suite re-run
 #      under asan+ubsan and under TSan (the equivalence suite's
 #      gate-contract cases pin one gate call per distinct relation in
 #      first-use order and an AccessController whose retries run out a
@@ -59,10 +60,7 @@
 #      reports and cache counters, cold, warm and after an availability
 #      flip) and the shared-prefix suite (trie execution against
 #      per-disjunct execution and the legacy oracle, buffer-reuse cases
-#      included) under asan+ubsan,
-#      plus a join micro-bench smoke and a small
-#      end-to-end engine comparison whose soundness check must pass
-#      (docs/query_planning.md).
+#      included) under asan+ubsan (docs/query_planning.md).
 #  11. network-cost gate: the topology/link-map/network-model suite and a
 #      reduced-seed cost-aware-vs-cost-blind equivalence sweep under
 #      asan+ubsan and under TSan, plus a topology_latency bench smoke
@@ -259,7 +257,7 @@ cmake --build "${TSAN_BUILD_DIR}" -j "${JOBS}" --target serve_telemetry_test
 TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
   "${TSAN_BUILD_DIR}/tests/serve_telemetry_test"
 
-echo "== [10/11] qp gate: asan + tsan suites, eval bench smoke =="
+echo "== [10/11] qp gate: asan + tsan suites =="
 # The vectorized-engine suites under asan+ubsan (step 2 built them with
 # the full suite; re-run explicitly as the named gate).
 "${ASAN_BUILD_DIR}/tests/qp_test"
@@ -278,14 +276,6 @@ TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
   "${TSAN_BUILD_DIR}/tests/qp_equivalence_test"
 TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
   "${TSAN_BUILD_DIR}/tests/serve_client_pool_test"
-# Join-kernel micro-bench smoke plus a CI-sized end-to-end engine
-# comparison; eval_vectorized exits non-zero if any vectorized answer
-# set diverges from the legacy engine.
-cmake --build "${BUILD_DIR}" -j "${JOBS}" --target eval_join eval_vectorized
-"${BUILD_DIR}/bench/eval_join" --benchmark_filter='BM_TwoWayJoin' \
-  --benchmark_min_time=0.05 > /dev/null
-PDMS_BENCH_RUNS=1 PDMS_BENCH_ITERS=2 PDMS_BENCH_FACTS=1024 \
-PDMS_BENCH_MAX_DIAMETER=3 "${BUILD_DIR}/bench/eval_vectorized" > /dev/null
 
 echo "== [11/11] network-cost gate: asan + tsan suites, topology bench smoke =="
 # Topology/link-map/network-model invariants and the routing equivalence
