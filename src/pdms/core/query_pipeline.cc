@@ -10,9 +10,8 @@
 
 namespace pdms {
 
-Result<ConjunctiveQuery> ParseNetworkQuery(const PdmsNetwork& network,
-                                           std::string_view text) {
-  PDMS_ASSIGN_OR_RETURN(ConjunctiveQuery query, ParseRuleText(text));
+Status CheckNetworkQuery(const PdmsNetwork& network,
+                         const ConjunctiveQuery& query) {
   // Queries must range over peer relations (or stored relations directly).
   for (const Atom& a : query.body()) {
     if (!network.IsPeerRelation(a.predicate()) &&
@@ -27,6 +26,13 @@ Result<ConjunctiveQuery> ParseNetworkQuery(const PdmsNetwork& network,
                     a.predicate().c_str(), a.arity(), arity));
     }
   }
+  return Status::Ok();
+}
+
+Result<ConjunctiveQuery> ParseNetworkQuery(const PdmsNetwork& network,
+                                           std::string_view text) {
+  PDMS_ASSIGN_OR_RETURN(ConjunctiveQuery query, ParseRuleText(text));
+  PDMS_RETURN_IF_ERROR(CheckNetworkQuery(network, query));
   return query;
 }
 

@@ -11,10 +11,16 @@
 
 namespace pdms {
 
-/// Parses a query in rule syntax and checks it against the catalog: every
-/// body atom must name a declared peer or stored relation (kNotFound
-/// otherwise) with its declared arity (kInvalidArgument otherwise). The
-/// one validator behind Pdms::ParseQuery and sim::SimPdms::Answer.
+/// Checks a parsed query against the catalog: every body atom must name a
+/// declared peer or stored relation (kNotFound otherwise) with its
+/// declared arity (kInvalidArgument otherwise). The one validator behind
+/// ParseNetworkQuery and the serving executor, which parses a request's
+/// text once and checks it against its worker's facade.
+Status CheckNetworkQuery(const PdmsNetwork& network,
+                         const ConjunctiveQuery& query);
+
+/// Parses a query in rule syntax and checks it with CheckNetworkQuery:
+/// what Pdms::ParseQuery and sim::SimPdms::Answer accept.
 Result<ConjunctiveQuery> ParseNetworkQuery(const PdmsNetwork& network,
                                            std::string_view text);
 

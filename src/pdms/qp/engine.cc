@@ -23,17 +23,16 @@ Result<std::shared_ptr<const UnionPlan>> Engine::PlanOrReuse(
     const Relation* rel = db.Find(relation);
     if (rel != nullptr) catalog_.Ensure(*rel, metrics);
   };
-  std::shared_ptr<const PhysicalPlanHandle> cached;
+  std::shared_ptr<const UnionPlan> cached;
   if (slot != nullptr) cached = slot->Get();
-  const auto* plan = dynamic_cast<const UnionPlan*>(cached.get());
-  if (plan != nullptr && plan->disjuncts.size() == uq.size()) {
-    for (const std::string& relation : plan->relations) ensure(relation);
-    if (plan->stats_fingerprint ==
-        catalog_.StatsFingerprint(plan->relations)) {
+  if (cached != nullptr && cached->disjuncts.size() == uq.size()) {
+    for (const std::string& relation : cached->relations) ensure(relation);
+    if (cached->stats_fingerprint ==
+        catalog_.StatsFingerprint(cached->relations)) {
       plan_span.Set("cached", true);
-      plan_span.Set("nodes", static_cast<uint64_t>(plan->nodes.size() - 1));
+      plan_span.Set("nodes", static_cast<uint64_t>(cached->nodes.size() - 1));
       if (metrics != nullptr) metrics->Add("qp.plan_reused", 1);
-      return std::shared_ptr<const UnionPlan>(std::move(cached), plan);
+      return cached;
     }
   } else {
     std::set<std::string> seen;

@@ -8,15 +8,12 @@
 namespace pdms {
 namespace qp {
 
-/// Opaque base of a compiled physical plan. The concrete type (qp::UnionPlan)
-/// is engine-internal; the rest of the system only stores and hands back the
-/// handle. Plans are logical artifacts — join orders, build sides, and
-/// estimates keyed by relation *names* — so one plan is valid for any engine
-/// whose statistics match its embedded fingerprint (worker facades with
-/// separate but identical databases share plans through the PlanCache).
-struct PhysicalPlanHandle {
-  virtual ~PhysicalPlanHandle() = default;
-};
+/// The compiled physical plan of a union query (defined in qp/planner.h).
+/// Plans are logical artifacts — join orders, build sides, and estimates
+/// keyed by relation *names* — so one plan is valid for any engine whose
+/// statistics match its embedded fingerprint (worker facades with separate
+/// but identical databases share plans through the PlanCache).
+struct UnionPlan;
 
 /// A thread-safe, shareable slot for the physical plan compiled for one
 /// cached rewriting. cache::PlanCache stores one slot per Plan entry; every
@@ -26,18 +23,18 @@ struct PhysicalPlanHandle {
 /// mismatch (docs/query_planning.md, plan caching).
 class PhysicalPlanSlot {
  public:
-  std::shared_ptr<const PhysicalPlanHandle> Get() const {
+  std::shared_ptr<const UnionPlan> Get() const {
     std::lock_guard<std::mutex> lock(mu_);
     return plan_;
   }
-  void Set(std::shared_ptr<const PhysicalPlanHandle> plan) {
+  void Set(std::shared_ptr<const UnionPlan> plan) {
     std::lock_guard<std::mutex> lock(mu_);
     plan_ = std::move(plan);
   }
 
  private:
   mutable std::mutex mu_;
-  std::shared_ptr<const PhysicalPlanHandle> plan_;
+  std::shared_ptr<const UnionPlan> plan_;
 };
 
 }  // namespace qp

@@ -124,7 +124,7 @@ struct DisjunctLeaf {
 /// planned alone, then its steps are inserted into one prefix trie, so
 /// every step is stored once per trie node rather than once per disjunct
 /// (docs/query_planning.md, shared-prefix execution).
-struct UnionPlan : public PhysicalPlanHandle {
+struct UnionPlan {
   /// ColumnarCatalog::StatsFingerprint over every relation the plan scans,
   /// taken at planning time. Execution replans when its catalog disagrees.
   uint64_t stats_fingerprint = 0;

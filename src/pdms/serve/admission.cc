@@ -8,17 +8,17 @@ namespace pdms {
 namespace serve {
 
 AdmissionController::AdmissionController(AdmissionOptions options,
+                                         size_t workers,
                                          obs::MetricsRegistry* metrics)
-    : options_(options), metrics_(metrics) {
+    : options_(options), workers_(workers), metrics_(metrics) {
   if (options_.max_queue == 0) options_.max_queue = 1;
-  if (options_.workers == 0) options_.workers = 1;
   if (options_.initial_service_ms <= 0) options_.initial_service_ms = 1.0;
   ewma_ms_ = options_.initial_service_ms;
 }
 
 double AdmissionController::ExpectedWaitLocked(size_t depth) const {
   return static_cast<double>(depth) * ewma_ms_ /
-         static_cast<double>(options_.workers);
+         static_cast<double>(workers_);
 }
 
 double AdmissionController::RetryAfterLocked() const {
@@ -86,7 +86,7 @@ double AdmissionController::ewma_service_ms() const {
 std::string AdmissionController::ToString() const {
   std::lock_guard<std::mutex> lock(mu_);
   return StrFormat("admission{depth=%zu/%zu ewma=%.3fms workers=%zu}",
-                   depth_, options_.max_queue, ewma_ms_, options_.workers);
+                   depth_, options_.max_queue, ewma_ms_, workers_);
 }
 
 }  // namespace serve

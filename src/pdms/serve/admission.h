@@ -19,9 +19,6 @@ struct AdmissionOptions {
   /// turns into fast, well-formed rejections instead of unbounded queue
   /// growth.
   size_t max_queue = 64;
-  /// Worker parallelism assumed by the expected-wait estimate (set by the
-  /// executor to its actual worker count).
-  size_t workers = 1;
   /// EWMA smoothing for the observed per-request service time.
   double ewma_alpha = 0.2;
   /// Seed for the EWMA before any request completes.
@@ -45,8 +42,10 @@ struct AdmissionOptions {
 /// executor's workers (CancelQueued/OnComplete).
 class AdmissionController {
  public:
-  explicit AdmissionController(AdmissionOptions options,
-                               obs::MetricsRegistry* metrics = nullptr);
+  /// `workers` (at least 1) is the parallelism the expected-wait estimate
+  /// assumes: the executor's worker count.
+  AdmissionController(AdmissionOptions options, size_t workers,
+                      obs::MetricsRegistry* metrics = nullptr);
 
   struct Decision {
     bool admitted = false;
@@ -88,6 +87,7 @@ class AdmissionController {
   double RetryAfterLocked() const;
 
   AdmissionOptions options_;
+  size_t workers_;
   obs::MetricsRegistry* metrics_;  // not owned; may be null
 
   mutable std::mutex mu_;

@@ -6,19 +6,45 @@
 #include <thread>
 #include <utility>
 
+#include "pdms/core/query_pipeline.h"
 #include "pdms/lang/canonical.h"
 #include "pdms/lang/parser.h"
 #include "pdms/serve/client.h"
-#include "pdms/util/check.h"
 #include "pdms/util/strings.h"
 
 namespace pdms {
 namespace serve {
 namespace {
 
-AdmissionOptions WithWorkers(AdmissionOptions admission, size_t workers) {
-  admission.workers = workers > 0 ? workers : 1;
-  return admission;
+ExecutorOptions AtLeastOneWorker(ExecutorOptions options) {
+  if (options.workers == 0) options.workers = 1;
+  return options;
+}
+
+// Parses the request's text unless that was done already, and computes its
+// canonical key when `want_key` and it is not known yet: each at most
+// once per request.
+void ParseOnce(ServeRequest* request, bool want_key) {
+  if (!request->parsed.has_value()) {
+    request->parsed = ParseRuleText(request->query);
+  }
+  if (want_key && request->key.empty() && request->parsed->ok()) {
+    request->key = CanonicalQueryKey(**request->parsed);
+  }
+}
+
+ServeOutcome ShedOutcome(const ServeRequest& request, wire::ShedReason reason,
+                         double retry_after_ms, size_t queue_depth,
+                         const char* message) {
+  ServeOutcome out;
+  out.conn_id = request.conn_id;
+  out.shed = true;
+  out.shed_frame.request_id = request.request_id;
+  out.shed_frame.reason = reason;
+  out.shed_frame.retry_after_ms = retry_after_ms;
+  out.shed_frame.queue_depth = static_cast<uint32_t>(queue_depth);
+  out.shed_frame.message = message;
+  return out;
 }
 
 double RemainingBudgetMs(const ServeRequest& request) {
@@ -67,230 +93,173 @@ wire::AnswerFrame MakeAnswerFrame(uint64_t request_id,
 
 RequestExecutor::RequestExecutor(ExecutorOptions options,
                                  obs::MetricsRegistry* metrics)
-    : options_(options),
+    : options_(AtLeastOneWorker(std::move(options))),
       metrics_(metrics),
-      admission_(WithWorkers(options.admission,
-                             options.workers > 0 ? options.workers : 1),
-                 metrics),
-      client_pool_(ClientPool::Options{}, metrics) {
-  if (options_.workers == 0) options_.workers = 1;
-}
+      admission_(options_.admission, options_.workers, metrics),
+      client_pool_(ClientPool::Options{}, metrics) {}
 
 RequestExecutor::~RequestExecutor() { Stop(); }
 
 Status RequestExecutor::Start(const PdmsNetwork& network, const Database& data,
                               std::function<void(ServeOutcome)> done) {
   {
-    std::lock_guard<std::mutex> lock(drain_mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     if (started_) {
       return Status::FailedPrecondition("executor already started");
     }
     started_ = true;
   }
   done_ = std::move(done);
-  // One serial facade per worker, all sharing the thread-safe caches; a
-  // worker claims a free facade for the duration of one request, so the
-  // facades themselves never see concurrent use.
+  // One serial facade per worker, all sharing the thread-safe caches.
+  // Once its worker starts, facade i is touched by worker i alone.
   for (size_t i = 0; i < options_.workers; ++i) {
     auto facade = std::make_unique<Pdms>(options_.query_options);
     *facade->mutable_network() = network;
     *facade->mutable_database() = data;
     facade->set_plan_cache(&plan_cache_);
     facade->set_metrics(metrics_);
-    free_facades_.push_back(facade.get());
+    workers_.emplace_back([this, f = facade.get()] { Work(f); });
     facades_.push_back(std::move(facade));
   }
-  pool_ = std::make_unique<exec::ThreadPool>(options_.workers);
   return Status::Ok();
 }
 
 void RequestExecutor::Stop() {
   {
-    std::unique_lock<std::mutex> lock(drain_mu_);
-    if (!started_ || stopped_) {
-      stopped_ = true;
-      return;
-    }
+    std::lock_guard<std::mutex> lock(mu_);
     stopped_ = true;
-    drain_cv_.wait(lock, [this] { return in_flight_ == 0; });
   }
-  pool_.reset();  // joins the workers; every submitted task has run
+  cv_.notify_all();
+  for (std::thread& worker : workers_) {
+    if (worker.joinable()) worker.join();
+  }
+}
+
+void RequestExecutor::Work(Pdms* facade) {
+  std::unique_lock<std::mutex> lock(mu_);
+  while (true) {
+    cv_.wait(lock, [this] { return stopped_ || !queue_.empty(); });
+    // Stop ends a worker only once the queue is empty, so every admitted
+    // request runs.
+    if (queue_.empty()) return;
+    ServeRequest request = std::move(queue_.front());
+    queue_.pop_front();
+    lock.unlock();
+    RunOne(facade, std::move(request));
+    lock.lock();
+  }
+}
+
+bool RequestExecutor::Coalesces(const ServeRequest& request) const {
+  return options_.coalesce_identical && !request.trace.has_value();
 }
 
 std::optional<wire::ShedFrame> RequestExecutor::Submit(ServeRequest request) {
+  bool accepting;
   {
-    std::lock_guard<std::mutex> lock(drain_mu_);
-    if (!started_ || stopped_) {
-      wire::ShedFrame shed;
-      shed.request_id = request.request_id;
-      shed.reason = wire::ShedReason::kQueueFull;
-      shed.retry_after_ms = admission_.options().retry_after_floor_ms;
-      shed.message = "server shutting down";
-      LogShed(request, shed, 0);
-      return shed;
-    }
+    std::lock_guard<std::mutex> lock(mu_);
+    accepting = started_ && !stopped_;
+  }
+  if (!accepting) {
+    ServeOutcome out = ShedOutcome(
+        request, wire::ShedReason::kQueueFull,
+        admission_.options().retry_after_floor_ms, 0, "server shutting down");
+    Record(request, out, 0, 0, false);
+    return std::move(out.shed_frame);
   }
   // Single-flight: identical untraced queries ride the in-flight leader
   // instead of taking admission slots and workers. The key is claimed
   // before the admission offer so two concurrent identical requests can
   // never both become leaders; a shed leader resolves (sheds) whatever
   // followers raced in behind it.
-  const std::string sf_key = SingleFlightKey(request);
-  if (!sf_key.empty()) {
-    std::lock_guard<std::mutex> lock(sf_mu_);
-    auto it = sf_inflight_.find(sf_key);
-    if (it != sf_inflight_.end()) {
-      it->second.push_back(std::move(request));
-      ++sf_coalesced_;
-      if (metrics_) metrics_->Add("serve.coalesced");
-      return std::nullopt;  // resolved when the leader completes
+  if (Coalesces(request)) {
+    ParseOnce(&request, /*want_key=*/true);
+    if (!request.key.empty()) {
+      std::lock_guard<std::mutex> lock(sf_mu_);
+      auto it = sf_inflight_.find(request.key);
+      if (it != sf_inflight_.end()) {
+        it->second.push_back(std::move(request));
+        ++sf_coalesced_;
+        if (metrics_) metrics_->Add("serve.coalesced");
+        return std::nullopt;  // resolved when the leader completes
+      }
+      sf_inflight_.emplace(request.key, std::vector<ServeRequest>{});
     }
-    sf_inflight_.emplace(sf_key, std::vector<ServeRequest>{});
   }
   AdmissionController::Decision decision =
       admission_.Offer(RemainingBudgetMs(request));
   if (!decision.admitted) {
-    wire::ShedFrame shed;
-    shed.request_id = request.request_id;
-    shed.reason = decision.reason;
-    shed.retry_after_ms = decision.retry_after_ms;
-    shed.queue_depth = decision.queue_depth;
-    shed.message = decision.reason == wire::ShedReason::kQueueFull
-                       ? "admission queue full"
-                       : "remaining budget below expected wait";
-    if (options_.rolling != nullptr) {
-      options_.rolling->RecordShed(NowMs(), ToRollingShed(decision.reason));
-    }
-    LogShed(request, shed, 0);
-    if (!sf_key.empty()) {
-      ServeOutcome leader;
-      leader.shed = true;
-      leader.shed_frame = shed;
-      ResolveFollowers(sf_key, leader);
-    }
-    return shed;
+    ServeOutcome out = ShedOutcome(
+        request, decision.reason, decision.retry_after_ms,
+        decision.queue_depth,
+        decision.reason == wire::ShedReason::kQueueFull
+            ? "admission queue full"
+            : "remaining budget below expected wait");
+    Record(request, out, 0, 0, false);
+    ResolveFollowers(request, out);
+    return std::move(out.shed_frame);
   }
   if (options_.rolling != nullptr) {
     options_.rolling->RecordQueueDepth(NowMs(), decision.queue_depth);
   }
   {
-    std::lock_guard<std::mutex> lock(drain_mu_);
-    ++in_flight_;
+    std::lock_guard<std::mutex> lock(mu_);
+    queue_.push_back(std::move(request));
   }
-  pool_->Submit([this, sf_key, request = std::move(request)]() mutable {
-    RunOne(std::move(request), sf_key);
-  });
+  cv_.notify_one();
   return std::nullopt;
 }
 
-std::string RequestExecutor::SingleFlightKey(
-    const ServeRequest& request) const {
-  if (!options_.coalesce_identical) return "";
-  if (request.trace.has_value()) return "";  // wants its own span tree
-  Result<ConjunctiveQuery> parsed = ParseRuleText(request.query);
-  if (!parsed.ok()) return "";
-  return CanonicalQueryKey(*parsed);
-}
-
-void RequestExecutor::ResolveFollowers(const std::string& sf_key,
-                                       const ServeOutcome& leader) {
-  if (sf_key.empty()) return;
+void RequestExecutor::ResolveFollowers(const ServeRequest& leader,
+                                       const ServeOutcome& out) {
+  if (!Coalesces(leader) || leader.key.empty()) return;
   std::vector<ServeRequest> followers;
   {
     std::lock_guard<std::mutex> lock(sf_mu_);
-    auto it = sf_inflight_.find(sf_key);
+    auto it = sf_inflight_.find(leader.key);
     if (it == sf_inflight_.end()) return;
     followers = std::move(it->second);
     sf_inflight_.erase(it);
   }
   for (ServeRequest& f : followers) {
-    ServeOutcome out;
-    out.conn_id = f.conn_id;
-    out.shed = leader.shed;
-    if (leader.shed) {
-      out.shed_frame = leader.shed_frame;
-      out.shed_frame.request_id = f.request_id;
-      if (options_.rolling != nullptr) {
-        options_.rolling->RecordShed(NowMs(),
-                                     ToRollingShed(out.shed_frame.reason));
-      }
-      LogShed(f, out.shed_frame, f.arrival.ElapsedMillis());
-    } else {
-      out.answer = leader.answer;
-      out.answer.request_id = f.request_id;
-      out.answer.spans.reset();  // the span tree belongs to the leader
-      const double total_ms = f.arrival.ElapsedMillis();
-      if (options_.rolling != nullptr) {
-        // A coalesced answer is the ultimate cache hit: zero evaluation.
-        options_.rolling->RecordAnswer(NowMs(), total_ms, /*cache_hit=*/true,
-                                       out.answer.completeness,
-                                       out.answer.truncated != 0);
-      }
-      if (options_.access_log != nullptr) {
-        AccessEntry entry;
-        entry.ts_ms = AccessLog::WallMs();
-        entry.conn_id = f.conn_id;
-        entry.request_id = f.request_id;
-        entry.query = sf_key;
-        entry.deadline_ms = f.budget_ms;
-        entry.queue_ms = total_ms;  // spent entirely waiting on the leader
-        entry.total_ms = total_ms;
-        entry.cache_hit = true;
-        entry.verdict = out.answer.status_code == 0
-                            ? static_cast<int>(out.answer.completeness)
-                            : -1;
-        options_.access_log->Append(entry);
-      }
-    }
-    done_(std::move(out));
+    ServeOutcome copy = out;
+    copy.conn_id = f.conn_id;
+    copy.shed_frame.request_id = f.request_id;
+    copy.answer.request_id = f.request_id;
+    copy.answer.spans.reset();  // the span tree belongs to the leader
+    // A follower waits on the leader the whole time; a coalesced answer
+    // is the ultimate cache hit: zero evaluation.
+    Record(f, copy, f.arrival.ElapsedMillis(), 0, /*cache_hit=*/!copy.shed);
+    done_(std::move(copy));
   }
 }
 
-Pdms* RequestExecutor::PopFacade() {
-  std::lock_guard<std::mutex> lock(facades_mu_);
-  PDMS_CHECK_MSG(!free_facades_.empty(),
-                 "more concurrent requests than worker facades");
-  Pdms* facade = free_facades_.back();
-  free_facades_.pop_back();
-  return facade;
+void RequestExecutor::Finish(const ServeRequest& request, ServeOutcome out,
+                             double queue_ms, double exec_ms,
+                             bool cache_hit) {
+  Record(request, out, queue_ms, exec_ms, cache_hit);
+  ResolveFollowers(request, out);
+  done_(std::move(out));
 }
 
-void RequestExecutor::PushFacade(Pdms* facade) {
-  std::lock_guard<std::mutex> lock(facades_mu_);
-  free_facades_.push_back(facade);
-}
-
-void RequestExecutor::RunOne(ServeRequest request, const std::string& sf_key) {
+void RequestExecutor::RunOne(Pdms* facade, ServeRequest request) {
   WallTimer service;
   const double queue_ms = request.arrival.ElapsedMillis();
-  ServeOutcome out;
-  out.conn_id = request.conn_id;
 
   const Deadline deadline = request.budget_ms > 0
                                 ? Deadline::AfterMillis(request.budget_ms)
                                 : Deadline::Infinite();
   // Dequeue-time re-check: a budget that ran out while the request sat in
-  // the queue sheds it here, before any facade (and thus any stored-
+  // the queue sheds it here, before the facade (and thus any stored-
   // relation access) is touched.
-  if (deadline.Expired(request.arrival.ElapsedMillis())) {
+  if (deadline.Expired(queue_ms)) {
     admission_.CancelQueued();
-    out.shed = true;
-    out.shed_frame.request_id = request.request_id;
-    out.shed_frame.reason = wire::ShedReason::kDeadline;
-    out.shed_frame.retry_after_ms = admission_.RetryAfterMs();
-    out.shed_frame.queue_depth =
-        static_cast<uint32_t>(admission_.queue_depth());
-    out.shed_frame.message = "budget expired while queued";
     if (metrics_) metrics_->Add("serve.shed_after_queue");
-    if (options_.rolling != nullptr) {
-      options_.rolling->RecordShed(NowMs(),
-                                   obs::RollingStats::Shed::kDeadline);
-    }
-    LogShed(request, out.shed_frame, queue_ms);
-    ResolveFollowers(sf_key, out);
-    done_(std::move(out));
-    std::lock_guard<std::mutex> lock(drain_mu_);
-    if (--in_flight_ == 0) drain_cv_.notify_all();
+    Finish(request,
+           ShedOutcome(request, wire::ShedReason::kDeadline,
+                       admission_.RetryAfterMs(), admission_.queue_depth(),
+                       "budget expired while queued"),
+           queue_ms, 0, false);
     return;
   }
 
@@ -300,8 +269,6 @@ void RequestExecutor::RunOne(ServeRequest request, const std::string& sf_key) {
     std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
         options_.service_floor_ms));
   }
-
-  Pdms* facade = PopFacade();
 
   // Server-side trace assembly. The request's envelope roots a combined
   // context whose clock every piece shares: the federation fetches and
@@ -334,19 +301,22 @@ void RequestExecutor::RunOne(ServeRequest request, const std::string& sf_key) {
   facade->set_options(opts);
   obs::TraceContext query_ctx = combined.Fork();
   if (traced) facade->set_trace(&query_ctx);
-  Result<AnswerResult> result = facade->AnswerWithReport(request.query);
+  ParseOnce(&request, /*want_key=*/options_.access_log != nullptr);
+  const Result<ConjunctiveQuery>& parsed = *request.parsed;
+  Status checked = parsed.ok()
+                       ? CheckNetworkQuery(facade->network(), *parsed)
+                       : parsed.status();
+  Result<AnswerResult> result =
+      checked.ok() ? facade->AnswerWithReport(*parsed)
+                   : Result<AnswerResult>(std::move(checked));
   if (traced) {
     facade->set_trace(nullptr);
     combined.MergeChild(root, std::move(query_ctx));
   }
-  std::string canonical = request.query;
-  if (options_.access_log != nullptr) {
-    Result<ConjunctiveQuery> parsed = facade->ParseQuery(request.query);
-    if (parsed.ok()) canonical = CanonicalQueryKey(*parsed);
-  }
-  PushFacade(facade);
 
   const double service_ms = service.ElapsedMillis();
+  ServeOutcome out;
+  out.conn_id = request.conn_id;
   out.answer = MakeAnswerFrame(request.request_id, result, service_ms);
   if (traced) {
     combined.EndSpan(root);
@@ -361,51 +331,45 @@ void RequestExecutor::RunOne(ServeRequest request, const std::string& sf_key) {
     if (out.answer.truncated != 0) metrics_->Add("serve.truncated_answers");
   }
   admission_.OnComplete(service_ms);
-
-  const double total_ms = request.arrival.ElapsedMillis();
-  const bool cache_hit = result.ok() && result->plan_cache_hit;
-  const int verdict =
-      result.ok() ? static_cast<int>(result->degradation.completeness) : -1;
   if (options_.rolling != nullptr) {
-    options_.rolling->RecordAnswer(NowMs(), total_ms, cache_hit,
-                                   verdict < 0 ? 0 : verdict,
-                                   out.answer.truncated != 0);
     options_.rolling->RecordQueueDepth(NowMs(), admission_.queue_depth());
   }
-  if (options_.access_log != nullptr) {
-    AccessEntry entry;
-    entry.ts_ms = AccessLog::WallMs();
-    entry.conn_id = request.conn_id;
-    entry.request_id = request.request_id;
-    entry.query = canonical;
-    entry.deadline_ms = request.budget_ms;
-    entry.queue_ms = queue_ms;
-    entry.exec_ms = service_ms;
-    entry.total_ms = total_ms;
-    entry.cache_hit = cache_hit;
-    entry.verdict = verdict;
-    if (traced) entry.trace_id = request.trace->trace_id;
-    options_.access_log->Append(entry);
-  }
-
-  ResolveFollowers(sf_key, out);
-  done_(std::move(out));
-  std::lock_guard<std::mutex> lock(drain_mu_);
-  if (--in_flight_ == 0) drain_cv_.notify_all();
+  Finish(request, std::move(out), queue_ms, service_ms,
+         result.ok() && result->plan_cache_hit);
 }
 
-void RequestExecutor::LogShed(const ServeRequest& request,
-                              const wire::ShedFrame& shed, double queue_ms) {
+void RequestExecutor::Record(const ServeRequest& request,
+                             const ServeOutcome& out, double queue_ms,
+                             double exec_ms, bool cache_hit) {
+  const double total_ms = request.arrival.ElapsedMillis();
+  if (options_.rolling != nullptr) {
+    if (out.shed) {
+      options_.rolling->RecordShed(NowMs(),
+                                   ToRollingShed(out.shed_frame.reason));
+    } else {
+      options_.rolling->RecordAnswer(NowMs(), total_ms, cache_hit,
+                                     out.answer.completeness,
+                                     out.answer.truncated != 0);
+    }
+  }
   if (options_.access_log == nullptr) return;
   AccessEntry entry;
   entry.ts_ms = AccessLog::WallMs();
   entry.conn_id = request.conn_id;
   entry.request_id = request.request_id;
-  entry.query = request.query;  // raw: no facade in hand on the shed path
+  entry.query = request.key.empty() ? request.query : request.key;
   entry.deadline_ms = request.budget_ms;
   entry.queue_ms = queue_ms;
-  entry.total_ms = request.arrival.ElapsedMillis();
-  entry.shed = wire::ShedReasonName(shed.reason);
+  entry.exec_ms = exec_ms;
+  entry.total_ms = total_ms;
+  if (out.shed) {
+    entry.shed = wire::ShedReasonName(out.shed_frame.reason);
+  } else {
+    entry.cache_hit = cache_hit;
+    entry.verdict = out.answer.status_code == 0
+                        ? static_cast<int>(out.answer.completeness)
+                        : -1;
+  }
   if (request.trace.has_value()) entry.trace_id = request.trace->trace_id;
   options_.access_log->Append(entry);
 }
@@ -422,13 +386,19 @@ std::string RequestExecutor::PickEndpoint(const std::string& endpoints) const {
       return endpoint;  // untried replicas are probed before any ranking
     }
     const RemoteHealth& health = it->second;
-    const double avg_ms =
-        health.total_ms / static_cast<double>(health.scans);
+    const uint64_t successes = health.scans - health.failures;
     const double fail_rate = static_cast<double>(health.failures) /
                              static_cast<double>(health.scans);
-    // Failure-inflated average latency: a replica failing every scan
-    // costs 10x its average, so a healthy slower replica beats it.
-    const double cost = avg_ms * (1.0 + 9.0 * fail_rate);
+    // Failure-inflated average latency of the successful scans: a replica
+    // failing nine scans in ten costs 9.1x its average. A failed scan says
+    // nothing about scan cost (a refused connection returns at once), so
+    // a replica that has only failed ranks after every one that has
+    // succeeded.
+    const double cost =
+        successes == 0
+            ? std::numeric_limits<double>::infinity()
+            : health.ok_ms / static_cast<double>(successes) *
+                  (1.0 + 9.0 * fail_rate);
     if (best.empty() || cost < best_cost) {
       best = endpoint;
       best_cost = cost;
@@ -452,7 +422,11 @@ void RequestExecutor::FetchRemotes(Pdms* facade, obs::TraceContext* trace) {
     RemoteHealth& health = remote_health_[endpoint];
     ++health.scans;
     health.total_ms += fetch_ms;
-    if (!status.ok()) ++health.failures;
+    if (status.ok()) {
+      health.ok_ms += fetch_ms;
+    } else {
+      ++health.failures;
+    }
   }
 }
 

@@ -3,17 +3,18 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "pdms/cache/plan_cache.h"
 #include "pdms/core/pdms.h"
-#include "pdms/exec/thread_pool.h"
 #include "pdms/obs/metrics.h"
 #include "pdms/obs/rolling.h"
 #include "pdms/serve/access_log.h"
@@ -28,7 +29,7 @@ namespace serve {
 /// Tunables for the serving executor.
 struct ExecutorOptions {
   /// Worker threads evaluating admitted requests, one request each at a
-  /// time (also the parallelism the admission estimate assumes).
+  /// time (also the parallelism the admission estimate assumes). 0 means 1.
   size_t workers = 2;
   AdmissionOptions admission;
   /// Base reformulation options for every worker facade. Each facade is
@@ -47,8 +48,11 @@ struct ExecutorOptions {
   /// reflect the remote peer's live data and the request's trace spans
   /// both processes. With several replicas the fetch is routed by observed
   /// cost: untried endpoints are probed first, after that the endpoint
-  /// minimizing avg_ms * (1 + 9 * failure_rate) wins — the serving-side
-  /// analogue of the simulator's CostEstimator. A failed fetch keeps the
+  /// minimizing ok_avg_ms * (1 + 9 * failure_rate) wins, where ok_avg_ms
+  /// averages the successful scans only — the serving-side analogue of
+  /// the simulator's CostEstimator. A replica that has only failed has no
+  /// scan cost (a refused connection returns fast) and ranks after every
+  /// replica that has succeeded. A failed fetch keeps the
   /// previously-fetched copy (and is counted in the per-endpoint health
   /// the stats frame reports). Scans go through a keep-alive ClientPool:
   /// connections are reused across requests, and a stale pooled socket
@@ -77,6 +81,14 @@ struct ServeRequest {
   uint64_t conn_id = 0;
   uint64_t request_id = 0;
   std::string query;
+  /// `query` parsed, at most once per request: by Submit when the request
+  /// may coalesce (its key is needed before admission), else by the
+  /// worker. nullopt until then.
+  std::optional<Result<ConjunctiveQuery>> parsed;
+  /// CanonicalQueryKey of `parsed`, computed at most once and only when
+  /// needed: the single-flight key, and the access log's `query` field.
+  /// Empty until then, or when the text does not parse.
+  std::string key;
   /// <= 0 means no deadline (wire convention).
   double budget_ms = 0;
   WallTimer arrival;
@@ -96,10 +108,13 @@ struct ServeOutcome {
   wire::ShedFrame shed_frame;
 };
 
-/// Evaluates admitted query requests on a FIFO pool of worker threads,
-/// each owning a serial Pdms facade over the same network and data, all
-/// sharing one thread-safe plan cache (the concurrent-serving
-/// pattern, docs/parallel_execution.md). The executor owns admission
+/// Evaluates admitted query requests on its own worker threads, which
+/// take them from one FIFO queue. Worker i owns serial Pdms facade i over
+/// the same network and data, and all facades share one thread-safe plan
+/// cache (the concurrent-serving pattern, docs/parallel_execution.md).
+/// One mutex and condition variable guard the queue and the lifecycle;
+/// Stop lets the workers drain the queue before they exit, so every
+/// admitted request is answered. The executor owns admission
 /// control: Submit either returns a ShedFrame immediately (queue full /
 /// budget can't cover the expected wait) or schedules the request and
 /// later fires the completion callback from a worker thread.
@@ -119,16 +134,19 @@ class RequestExecutor {
   RequestExecutor& operator=(const RequestExecutor&) = delete;
 
   /// Builds the worker facades over copies of `network`/`data` and starts
-  /// the pool. Must be called exactly once before Submit.
+  /// one worker thread per facade. Must be called exactly once before
+  /// Submit.
   Status Start(const PdmsNetwork& network, const Database& data,
                std::function<void(ServeOutcome)> done);
 
-  /// Drains in-flight requests and joins the workers. Safe to call twice.
+  /// Runs every queued request, then joins the workers. Safe to call
+  /// twice; must not run concurrently with Submit.
   void Stop();
 
   /// Offers a request. Returns the shed response when admission rejects
   /// it; nullopt when admitted, in which case `done` will eventually fire
-  /// from a worker thread with this request's outcome.
+  /// from a worker thread with this request's outcome. Called from one
+  /// thread (the server's network loop).
   std::optional<wire::ShedFrame> Submit(ServeRequest request);
 
   AdmissionController* admission() { return &admission_; }
@@ -151,19 +169,31 @@ class RequestExecutor {
     uint64_t scans = 0;
     uint64_t failures = 0;
     double total_ms = 0;
+    double ok_ms = 0;  // the successful scans' share of total_ms
   };
 
-  void RunOne(ServeRequest request, const std::string& sf_key);
-  Pdms* PopFacade();
-  void PushFacade(Pdms* facade);
-  /// The canonical-query coalescing key of `request`, or "" when the
-  /// request must not coalesce (traced, or unparseable query text —
-  /// unparseable requests all share one error answer in principle, but
-  /// keying them on raw text would conflate distinct parse errors).
-  std::string SingleFlightKey(const ServeRequest& request) const;
+  /// Worker loop: takes the oldest queued request until Stop finds the
+  /// queue empty. `facade` is this worker's own.
+  void Work(Pdms* facade);
+  void RunOne(Pdms* facade, ServeRequest request);
+  /// Whether `request` takes part in single-flight coalescing: untraced
+  /// (a traced request wants its own span tree) with coalescing on. Such
+  /// a request's key is computed in Submit; a text that does not parse
+  /// leaves it empty and the request runs alone (keying on raw text would
+  /// conflate distinct parse errors).
+  bool Coalesces(const ServeRequest& request) const;
+  /// Records `out`, hands it to every follower of `request`, then to the
+  /// completion callback.
+  void Finish(const ServeRequest& request, ServeOutcome out,
+              double queue_ms, double exec_ms, bool cache_hit);
   /// Delivers the leader's outcome to every follower queued under
-  /// `sf_key` (stamped with the follower's ids) and retires the key.
-  void ResolveFollowers(const std::string& sf_key, const ServeOutcome& leader);
+  /// `leader`'s key (stamped with the follower's ids) and retires the key.
+  void ResolveFollowers(const ServeRequest& leader, const ServeOutcome& out);
+  /// The one place an outcome is recorded — answered, coalesced, shed at
+  /// offer, shed at dequeue: its rolling-stats record and its access-log
+  /// entry.
+  void Record(const ServeRequest& request, const ServeOutcome& out,
+              double queue_ms, double exec_ms, bool cache_hit);
   /// Re-fetches every mapped remote relation into `facade`'s database,
   /// recording per-endpoint health; spans land in `trace` when non-null.
   void FetchRemotes(Pdms* facade, obs::TraceContext* trace);
@@ -173,23 +203,19 @@ class RequestExecutor {
   Status FetchOneRemote(const std::string& relation,
                         const std::string& endpoint, Pdms* facade,
                         obs::TraceContext* trace);
-  void LogShed(const ServeRequest& request, const wire::ShedFrame& shed,
-               double queue_ms);
 
   ExecutorOptions options_;
   obs::MetricsRegistry* metrics_;  // not owned; may be null
   AdmissionController admission_;
   cache::PlanCache plan_cache_;
   std::function<void(ServeOutcome)> done_;
-  std::unique_ptr<exec::ThreadPool> pool_;
+  std::vector<std::unique_ptr<Pdms>> facades_;  // facade i is worker i's
 
-  std::mutex facades_mu_;
-  std::vector<std::unique_ptr<Pdms>> facades_;  // all workers, for cleanup
-  std::vector<Pdms*> free_facades_;             // currently unclaimed
-
-  std::mutex drain_mu_;
-  std::condition_variable drain_cv_;
-  size_t in_flight_ = 0;
+  /// Guards the request queue and the lifecycle flags; `cv_` wakes the
+  /// workers for a queued request or for Stop.
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::deque<ServeRequest> queue_;
   bool started_ = false;
   bool stopped_ = false;
 
@@ -205,6 +231,9 @@ class RequestExecutor {
   /// Keep-alive connections to federated peers, shared by all workers
   /// (the pool hands each worker an exclusive lease per scan).
   ClientPool client_pool_;
+  /// Last: the workers use every member above, and Stop (run by the
+  /// destructor) joins them before any of those is destroyed.
+  std::vector<std::thread> workers_;
 };
 
 /// Builds the wire answer for one evaluated request. Exposed for tests:

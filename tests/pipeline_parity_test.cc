@@ -1,5 +1,6 @@
-// The three answering entry points — Pdms::AnswerWithReport,
-// Pdms::AnswerStreaming and fault-free sim::SimPdms::Answer — share one
+// The answering entry points — Pdms::AnswerWithReport,
+// Pdms::AnswerStreaming, fault-free sim::SimPdms::Answer and the serving
+// executor (serve::RequestExecutor, in process, without TCP) — share one
 // query pipeline (plan-cache protocol, union evaluation, degradation
 // report). This suite pins that they behave alike on seeded Section-5
 // generator worlds (diameters 1-3) and the Figure-1 emergency scenario.
@@ -8,9 +9,15 @@
 // cold, warm, and after one stored relation of its first rewriting is
 // marked unavailable — and, as ppl_shell does, each simulated run gets a
 // fresh SimPdms over the facade's current catalog and data while its
-// PlanCache is shared across runs. Per run:
+// PlanCache is shared across runs. The executor answers the cold and warm
+// runs on one instance (its two workers share its plan cache) and the
+// third on a new one started over the changed catalog, as a restarted
+// ppl_serverd would. Per run:
 //
-//  - the canonical answers of all three paths are equal;
+//  - the canonical answers of all four paths are equal, and the
+//    executor's answer frame carries what MakeAnswerFrame makes of
+//    AnswerWithReport's result (status, completeness, truncation, skipped
+//    rewritings, pruned branches, excluded relations and peers);
 //  - the local and simulated reports agree on plan_cache_hit, the static
 //    exclusions (stats.excluded_stored, stats.pruned_unavailable) and the
 //    verdict (completeness, excluded relations and peers, skipped
@@ -19,7 +26,9 @@
 //    same amounts.
 
 #include <cstddef>
+#include <future>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -31,6 +40,7 @@
 #include "pdms/gen/emergency.h"
 #include "pdms/gen/workload.h"
 #include "pdms/obs/metrics.h"
+#include "pdms/serve/executor.h"
 #include "pdms/sim/sim_pdms.h"
 
 namespace pdms {
@@ -130,6 +140,54 @@ struct SimSide {
   }
 };
 
+// The serving path: an in-process executor whose outcomes arrive through
+// its completion callback, one request at a time.
+class ServedSide {
+ public:
+  void Start(const PdmsNetwork& network, const Database& data) {
+    serve::ExecutorOptions options;
+    options.workers = 2;
+    executor_ = std::make_unique<serve::RequestExecutor>(options, nullptr);
+    Status started = executor_->Start(
+        network, data,
+        [this](serve::ServeOutcome out) { pending_.set_value(std::move(out)); });
+    ASSERT_TRUE(started.ok()) << started.ToString();
+  }
+
+  serve::ServeOutcome Answer(const ConjunctiveQuery& query) {
+    pending_ = std::promise<serve::ServeOutcome>();
+    std::future<serve::ServeOutcome> outcome = pending_.get_future();
+    serve::ServeRequest request;
+    request.request_id = ++next_id_;
+    request.query = query.ToString();
+    auto shed = executor_->Submit(std::move(request));
+    EXPECT_FALSE(shed.has_value()) << shed->message;
+    return outcome.get();
+  }
+
+ private:
+  std::unique_ptr<serve::RequestExecutor> executor_;
+  std::promise<serve::ServeOutcome> pending_;
+  uint64_t next_id_ = 0;
+};
+
+// The served frame carries exactly what the facade's report says.
+void ExpectSameFrame(const serve::ServeOutcome& served,
+                     const Result<AnswerResult>& local) {
+  ASSERT_FALSE(served.shed) << served.shed_frame.message;
+  const serve::wire::AnswerFrame& got = served.answer;
+  const serve::wire::AnswerFrame want = serve::MakeAnswerFrame(
+      got.request_id, local, /*server_ms=*/got.server_ms);
+  EXPECT_EQ(got.status_code, want.status_code) << got.status_message;
+  EXPECT_EQ(got.completeness, want.completeness);
+  EXPECT_EQ(got.truncated, want.truncated);
+  EXPECT_EQ(got.rewritings_skipped, want.rewritings_skipped);
+  EXPECT_EQ(got.branches_pruned, want.branches_pruned);
+  EXPECT_EQ(got.excluded_peers, want.excluded_peers);
+  EXPECT_EQ(got.excluded_stored, want.excluded_stored);
+  EXPECT_EQ(Canonical(got.ToRelation()), Canonical(want.ToRelation()));
+}
+
 // The stored relation the query's first rewriting scans first, or "".
 std::string FirstScannedRelation(const PdmsNetwork& network,
                                  const ConjunctiveQuery& query) {
@@ -155,6 +213,8 @@ TEST(PipelineParity, LocalStreamingAndSimAgreeAcrossCacheStates) {
       local.set_plan_cache(&plan_cache);
       local.set_metrics(&metrics);
       SimSide sim;
+      ServedSide served;
+      served.Start(world.network, world.data);
       const std::string downed = FirstScannedRelation(world.network, query);
 
       for (const char* phase : {"cold", "warm", "unavailable"}) {
@@ -164,6 +224,7 @@ TEST(PipelineParity, LocalStreamingAndSimAgreeAcrossCacheStates) {
           ASSERT_TRUE(local.mutable_network()
                           ->SetStoredRelationAvailable(downed, false)
                           .ok());
+          served.Start(local.network(), local.database());
         }
         auto local_before = CacheCounters(metrics);
         auto got = local.AnswerWithReport(query);
@@ -197,6 +258,7 @@ TEST(PipelineParity, LocalStreamingAndSimAgreeAcrossCacheStates) {
         EXPECT_EQ(b.excluded_peers, a.excluded_peers);
         EXPECT_EQ(b.rewritings_skipped, a.rewritings_skipped);
         EXPECT_EQ(sim_delta, local_delta);
+        ExpectSameFrame(served.Answer(query), got);
 
         if (want != Canonical(Relation(query.head().predicate(),
                                        query.head().arity()))) {

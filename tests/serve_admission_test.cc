@@ -1,10 +1,10 @@
 // Tests for serving admission control (serve/admission.h) and the
-// deadline-propagation half of the request executor (serve/executor.h).
-// The executor tests include the queued-expiry scenario from the issue:
-// a request whose budget runs out while it waits in the queue must be
-// shed at dequeue time without touching the network layer at all — zero
-// stored-relation accesses, zero cache traffic, `serve.shed_deadline`
-// incremented.
+// deadline-propagation half of the request executor (serve/executor.h;
+// its worker queue is exec_test's). The executor tests include the
+// queued-expiry scenario: a request whose budget runs out while it
+// waits in the queue must be shed at dequeue time without touching the
+// network layer at all — zero stored-relation accesses, zero cache
+// traffic, `serve.shed_deadline` incremented.
 
 #include <gtest/gtest.h>
 
@@ -32,7 +32,7 @@ TEST(Admission, AdmitsUntilQueueFullThenShedsEagerly) {
   AdmissionOptions options;
   options.max_queue = 2;
   options.retry_after_floor_ms = 3;
-  AdmissionController admission(options, &metrics);
+  AdmissionController admission(options, /*workers=*/1, &metrics);
 
   EXPECT_TRUE(admission.Offer(kInf).admitted);
   EXPECT_TRUE(admission.Offer(kInf).admitted);
@@ -53,9 +53,8 @@ TEST(Admission, AdmitsUntilQueueFullThenShedsEagerly) {
 TEST(Admission, ShedsWhenBudgetCannotCoverExpectedWait) {
   obs::MetricsRegistry metrics;
   AdmissionOptions options;
-  options.workers = 1;
   options.initial_service_ms = 100;  // expected wait at depth 0 is 100ms
-  AdmissionController admission(options, &metrics);
+  AdmissionController admission(options, /*workers=*/1, &metrics);
 
   auto shed = admission.Offer(/*remaining_budget_ms=*/50);
   EXPECT_FALSE(shed.admitted);
@@ -71,9 +70,8 @@ TEST(Admission, ShedsWhenBudgetCannotCoverExpectedWait) {
 
 TEST(Admission, WorkersDivideTheExpectedWait) {
   AdmissionOptions options;
-  options.workers = 4;
   options.initial_service_ms = 100;
-  AdmissionController admission(options);
+  AdmissionController admission(options, /*workers=*/4);
   // Depth 3 + this request over 4 workers: expected wait 100ms, so a
   // 150ms budget clears it even though four services are outstanding.
   ASSERT_TRUE(admission.Offer(kInf).admitted);
@@ -88,7 +86,7 @@ TEST(Admission, EwmaFoldsObservedServiceTimes) {
   AdmissionOptions options;
   options.ewma_alpha = 0.5;
   options.initial_service_ms = 10;
-  AdmissionController admission(options);
+  AdmissionController admission(options, /*workers=*/1);
   ASSERT_TRUE(admission.Offer(kInf).admitted);
   admission.OnComplete(30);
   EXPECT_DOUBLE_EQ(admission.ewma_service_ms(), 20.0);
@@ -106,7 +104,7 @@ TEST(Admission, CancelQueuedFreesTheSlotAndCountsTheShed) {
   obs::MetricsRegistry metrics;
   AdmissionOptions options;
   options.max_queue = 1;
-  AdmissionController admission(options, &metrics);
+  AdmissionController admission(options, /*workers=*/1, &metrics);
   ASSERT_TRUE(admission.Offer(kInf).admitted);
   double before = admission.ewma_service_ms();
   admission.CancelQueued();
@@ -225,9 +223,9 @@ TEST(Executor, QueuedExpiryShedsWithoutTouchingTheNetworkLayer) {
 
   // A occupies the worker for the 200ms floor; B arrives 50ms in with a
   // 40ms budget, so its deadline passes at ~90ms while the worker is
-  // still busy. The 50ms gap lets the worker claim A before B is queued
-  // (the pool pops its own deque LIFO); if scheduling noise still lets B
-  // run first, retry — the property under test is the shed path itself.
+  // still busy. The 50ms gap lets the worker claim A before B is queued;
+  // if scheduling noise still lets B run first, retry — the property
+  // under test is the shed path itself.
   std::vector<ServeOutcome> outcomes;
   std::map<std::string, uint64_t> counters;
   const ServeOutcome* shed = nullptr;

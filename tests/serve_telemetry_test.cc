@@ -8,6 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -264,6 +269,63 @@ TEST(Telemetry, FederatedRequestYieldsOneCrossProcessTrace) {
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_NE(stats->find("\"remotes\""), std::string::npos);
   EXPECT_NE(stats->find("127.0.0.1:"), std::string::npos);
+}
+
+// A port on which nothing listens: bound, read back, and closed again,
+// so a connection to it is refused at once.
+uint16_t ClosedPort() {
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  PDMS_CHECK(fd >= 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = 0;
+  PDMS_CHECK(::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) ==
+             0);
+  socklen_t len = sizeof(addr);
+  PDMS_CHECK(::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) ==
+             0);
+  ::close(fd);
+  return ntohs(addr.sin_port);
+}
+
+TEST(Telemetry, ReplicaRoutingAvoidsAReplicaThatOnlyFails) {
+  // `hdoc` has two replicas: a closed port, listed first so the first
+  // query probes it, and a live server with 2,002 tuples, whose scans are
+  // slower than a refused connection. After each has been tried once the
+  // live replica must serve every scan: a replica that has only failed
+  // never out-ranks one that has succeeded, however fast it fails.
+  Pdms live_data;
+  ASSERT_TRUE(live_data.LoadProgram(kProgram).ok());
+  for (int i = 0; i < 2000; ++i) {
+    ASSERT_TRUE(live_data
+                    .Insert("hdoc", {Value::String("doc" + std::to_string(i)),
+                                     Value::String("general")})
+                    .ok());
+  }
+  ServerOptions live_options;
+  live_options.port = 0;
+  PplServer live(live_options);
+  ASSERT_TRUE(live.Start(live_data.network(), live_data.database()).ok());
+
+  ServerOptions options;
+  options.executor.remote_relations["hdoc"] =
+      "127.0.0.1:" + std::to_string(ClosedPort()) +
+      "|127.0.0.1:" + std::to_string(live.port());
+  ServerFixture fixture(options);
+  Client client;
+  fixture.Connect(&client);
+  constexpr uint64_t kQueries = 40;
+  for (uint64_t i = 0; i < kQueries; ++i) {
+    auto reply = client.Query(kQuery);
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    ASSERT_FALSE(reply->shed);
+    // The first query's only fetch failed, so it read the local copy.
+    EXPECT_EQ(reply->answer.tuples.size(), i == 0 ? 2u : 2002u) << i;
+  }
+  EXPECT_EQ(fixture.metrics()->counter("serve.remote_scan_failures"), 1u);
+  EXPECT_EQ(fixture.metrics()->counter("serve.remote_scans"), kQueries - 1);
+  live.Stop();
 }
 
 TEST(Telemetry, TracedScanEchoesEnvelopeOnTheScanPath) {

@@ -18,16 +18,17 @@
 #      (availability flip + mapping edit), re-query; the invalidation
 #      counter must advance and answers must match a never-cached
 #      instance (docs/plan_cache.md).
-#   6. ThreadSanitizer gate over request-level concurrency: the FIFO
-#      worker pool that runs the serving executor's requests (exec_test),
-#      the concurrent-serving suite (several serving threads, each with
-#      its own facade, over one shared plan cache, every
-#      answer equal to the baseline, beside its serial determinism and
-#      95,136-node deep-tree cases; docs/parallel_execution.md) and the
-#      shared-prefix suite, including the buffer-reuse cases (siblings of
-#      different slot widths and row counts, a deep path before a shallow
-#      sibling, a step going empty after a non-empty sibling, one warm
-#      engine alternating open and vetoing gates; docs/query_planning.md).
+#   6. ThreadSanitizer gate over request-level concurrency: the serving
+#      executor's FIFO worker queue (exec_test), its admission and
+#      deadline shedding (serve_admission_test), the concurrent-serving
+#      suite (several serving threads, each with its own facade, over
+#      one shared plan cache, every answer equal to the baseline, beside
+#      its serial determinism and 95,136-node deep-tree cases;
+#      docs/parallel_execution.md) and the shared-prefix suite,
+#      including the buffer-reuse cases (siblings of different slot
+#      widths and row counts, a deep path before a shallow sibling, a
+#      step going empty after a non-empty sibling, one warm engine
+#      alternating open and vetoing gates; docs/query_planning.md).
 #   7. churn gate: a 32-seed churn-DST smoke (cached and uncached twins
 #      byte-compared under live catalog churn) plus the dependency-
 #      tracked invalidation and peer-health suites, all under TSan,
@@ -135,12 +136,15 @@ echo "== [5/11] cache-coherence smoke =="
 "${BUILD_DIR}/tests/cache_coherence_test" \
   --gtest_filter='CacheCoherence.Smoke'
 
-echo "== [6/11] tsan: worker pool + concurrent serving + shared prefix =="
+echo "== [6/11] tsan: serving executor + concurrent serving + shared prefix =="
 cmake --preset tsan > /dev/null
 cmake --build "${TSAN_BUILD_DIR}" -j "${JOBS}" \
-  --target exec_test parallel_equivalence_test shared_prefix_test
+  --target exec_test serve_admission_test parallel_equivalence_test \
+  shared_prefix_test
 TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
   "${TSAN_BUILD_DIR}/tests/exec_test"
+TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
+  "${TSAN_BUILD_DIR}/tests/serve_admission_test"
 TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
   "${TSAN_BUILD_DIR}/tests/parallel_equivalence_test"
 TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
